@@ -25,11 +25,26 @@
 //! schema; the human-readable `"[attr=value, ...] after event"` string is formatted
 //! by [`Kripke::state_name`] only when a counterexample trace (or an export) asks
 //! for it, instead of eagerly for every state during construction.
+//!
+//! Construction is linear in the model's transitions and never renders a label
+//! per transition: [`Kripke::from_state_model`] resolves each transition's
+//! `(event label, app)` to a small *label class* id once per label allocation,
+//! keys event states on a packed `(destination, class)` integer, writes the
+//! label rows directly, and emits both CSRs from counting-sorted per-model-state
+//! target groups. [`Kripke::from_state_model_delta`] splices a single-member edit
+//! into a previous structure instead. Both are struct-equal to the reference
+//! builder in [`reference`], which only tests call.
 
 use crate::bitset::BitSet;
-use soteria_model::{StateId, StateModel};
+use soteria_model::{StateId, StateModel, TransitionLabel};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+#[doc(hidden)]
+#[path = "kripke_reference.rs"]
+pub mod reference;
 
 /// A Kripke structure: states labelled with atomic propositions and a total
 /// transition relation stored as forward + reverse CSR arrays.
@@ -169,61 +184,10 @@ impl Kripke {
         }
     }
 
-    /// Installs the transition relation from an edge list, building the forward and
-    /// reverse CSR arrays in one pass each. The relation is made total by adding a
-    /// self-loop to every deadlocked state. `edges` is consumed (sorted, deduplicated)
-    /// to avoid an extra copy.
-    pub fn set_transitions(&mut self, mut edges: Vec<(u32, u32)>) {
-        let n = self.state_count();
-        debug_assert!(n <= u32::MAX as usize, "state universe exceeds u32 indexing");
-        edges.sort_unstable();
-        edges.dedup();
-        // Totalise: states with no outgoing edge loop on themselves.
-        let mut out_degree = vec![0u32; n];
-        for &(from, _) in &edges {
-            out_degree[from as usize] += 1;
-        }
-        for (s, degree) in out_degree.iter_mut().enumerate() {
-            if *degree == 0 {
-                *degree = 1;
-                edges.push((s as u32, s as u32));
-            }
-        }
-        edges.sort_unstable();
-        // Forward CSR: edges are sorted by source, so the flat target array is a
-        // direct projection.
-        self.succ_offsets = Vec::with_capacity(n + 1);
-        self.succ_offsets.push(0);
-        let mut acc = 0u32;
-        for &degree in &out_degree {
-            acc += degree;
-            self.succ_offsets.push(acc);
-        }
-        self.succ_targets = edges.iter().map(|&(_, to)| to).collect();
-        // Reverse CSR by counting sort on the target column.
-        let mut in_degree = vec![0u32; n];
-        for &(_, to) in &edges {
-            in_degree[to as usize] += 1;
-        }
-        self.pred_offsets = Vec::with_capacity(n + 1);
-        self.pred_offsets.push(0);
-        let mut acc = 0u32;
-        for &degree in &in_degree {
-            acc += degree;
-            self.pred_offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = self.pred_offsets[..n].to_vec();
-        self.pred_targets = vec![0u32; edges.len()];
-        for &(from, to) in &edges {
-            let slot = cursor[to as usize];
-            self.pred_targets[slot as usize] = from;
-            cursor[to as usize] += 1;
-        }
-    }
-
     /// Builds a hand-specified Kripke structure from per-state successor lists, with
     /// explicit state names. Used by tests and the differential fuzzer; call
-    /// [`Kripke::set_labels`] afterwards to install the atom labelling.
+    /// [`Kripke::set_labels`] afterwards to install the atom labelling. Duplicate
+    /// successors collapse, and a state with none gets a self-loop.
     pub fn from_lists(
         atoms: Vec<String>,
         names: Vec<String>,
@@ -241,12 +205,16 @@ impl Kripke {
             name_override: names,
             ..Kripke::default()
         };
-        let edges: Vec<(u32, u32)> = successor_lists
-            .iter()
-            .enumerate()
-            .flat_map(|(from, succs)| succs.iter().map(move |&to| (from as u32, to as u32)))
-            .collect();
-        kripke.set_transitions(edges);
+        // `model_state` is the identity, so each state is its own target group.
+        let mut group_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+        group_offsets.push(0);
+        let mut grouped: Vec<u32> = Vec::new();
+        for succs in successor_lists {
+            grouped.extend(succs.iter().map(|&to| to as u32));
+            group_offsets.push(grouped.len() as u32);
+        }
+        sort_dedup_groups(&mut group_offsets, &mut grouped);
+        kripke.set_transitions_grouped(&group_offsets, &grouped);
         kripke
     }
 
@@ -254,90 +222,107 @@ impl Kripke {
     ///
     /// Kripke states are `(model state, incoming transition label)` pairs: one
     /// "quiescent" state per model state (no incoming event) plus one state per
-    /// distinct `(destination, event, app)` combination among the transitions.
+    /// distinct `(destination, event, app)` combination among the transitions,
+    /// numbered in order of first occurrence. Every Kripke state over model state
+    /// `m` steps to the event states of `m`'s outgoing transitions.
+    ///
+    /// Nothing here is per-transition string work. Each transition's
+    /// `(event label, app)` resolves to a label class once per label allocation
+    /// (union models share one `Arc<TransitionLabel>` per lifted block, so market
+    /// G.3's ~154k transitions carry under 200 allocations). A class interns its
+    /// `event:`/`triggered`/`by-app:` atoms when it first appears, which is when
+    /// it creates its first event state, so atoms keep first-occurrence order.
+    /// Event states are keyed on a packed `(destination, class)` `u64`, label
+    /// rows are written directly, and the successor lists are counting-sorted
+    /// into per-model-state groups, each sorted and deduplicated on its own,
+    /// before [`Kripke::set_transitions_grouped`] emits both CSRs.
+    ///
+    /// The per-transition targets are recorded on the structure: they are what
+    /// lets [`Kripke::from_state_model_delta`] recover the edge relation of a
+    /// later, mostly-identical model without resolving unchanged labels again.
     pub fn from_state_model(model: &StateModel) -> Kripke {
-        let mut kripke = Kripke::default();
+        let _span = soteria_obs::span("kripke.build");
         let schema = &model.schema;
+        let q = model.state_count();
+        debug_assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
+        let mut kripke = Kripke::default();
         let mut atom_lookup: HashMap<String, usize> = HashMap::new();
         let attr_atoms = install_schema_atoms(&mut kripke, model, &mut atom_lookup);
 
-        // Per-state atom-index lists, turned into bitset rows by `set_labels` once
-        // the state universe is complete.
-        let mut per_state: Vec<Vec<usize>> = Vec::new();
-
-        // Quiescent states: one per model state, all initial, labelled with the
-        // attribute propositions of the state's digits.
-        let mut digits = vec![0u8; schema.attr_count()];
-        for s in 0..model.state_count() {
-            let labels: Vec<usize> =
-                digits.iter().enumerate().map(|(a, d)| attr_atoms[a][*d as usize]).collect();
-            per_state.push(labels);
-            kripke.model_state.push(s);
-            kripke.incoming_event.push(None);
-            kripke.incoming_app.push(None);
-            kripke.initial.push(s);
-            schema.advance(&mut digits);
-        }
-
-        // Event states: one per distinct (destination, event label, app).
-        let mut event_state: HashMap<(StateId, String, String), usize> = HashMap::new();
-        for t in &model.transitions {
-            let event = t.label.event.kind.label();
-            let app = t.label.app.clone();
-            event_state.entry((t.to, event.clone(), app.clone())).or_insert_with(|| {
-                let id = per_state.len();
-                let mut labels: Vec<usize> = (0..schema.attr_count())
-                    .map(|a| {
-                        attr_atoms[a][schema.digit_of(t.to, a as soteria_model::AttrId) as usize]
-                    })
-                    .collect();
-                labels.push(intern_atom(
-                    &mut kripke.atoms,
-                    &mut atom_lookup,
-                    format!("event:{event}"),
-                ));
-                labels.push(intern_atom(
-                    &mut kripke.atoms,
-                    &mut atom_lookup,
-                    "triggered".to_string(),
-                ));
-                labels.push(intern_atom(
-                    &mut kripke.atoms,
-                    &mut atom_lookup,
-                    format!("by-app:{app}"),
-                ));
-                per_state.push(labels);
-                kripke.model_state.push(t.to);
-                kripke.incoming_event.push(Some(Arc::from(event.as_str())));
-                kripke.incoming_app.push(Some(Arc::from(app.as_str())));
-                id
-            });
-        }
-
-        // Transitions: every Kripke state sharing the source model state gets an edge
-        // to the (destination, label) Kripke state. Kripke states are grouped by
-        // model state up front, so this is O(edges) rather than the seed's
-        // O(transitions x states) scan. The per-transition target is also recorded
-        // on the structure: it is what lets [`Kripke::from_state_model_delta`]
-        // recover the edge relation of a later, mostly-identical model without
-        // re-hashing every unchanged transition's label.
-        let mut states_of_model: Vec<Vec<usize>> = vec![Vec::new(); model.state_count()];
-        for (id, &ms) in kripke.model_state.iter().enumerate() {
-            states_of_model[ms].push(id);
-        }
-        let mut edges: Vec<(u32, u32)> = Vec::new();
+        // Event states in creation order, as (destination, class), plus each
+        // transition's Kripke target.
+        let mut classes = LabelClasses::default();
+        let mut event_state: HashMap<u64, u32, BuildHasherDefault<PackedKeyHasher>> =
+            HashMap::default();
+        let mut event_keys: Vec<(StateId, u32)> = Vec::new();
         let mut targets: Vec<u32> = Vec::with_capacity(model.transitions.len());
         for t in &model.transitions {
-            let key = (t.to, t.label.event.kind.label(), t.label.app.clone());
-            let to_id = event_state[&key] as u32;
-            targets.push(to_id);
-            for &from_id in &states_of_model[t.from] {
-                edges.push((from_id as u32, to_id));
+            let class = classes.resolve(&t.label, &mut kripke.atoms, &mut atom_lookup);
+            let key = ((t.to as u64) << 32) | class as u64;
+            let next = (q + event_keys.len()) as u32;
+            let id = *event_state.entry(key).or_insert_with(|| {
+                event_keys.push((t.to, class));
+                next
+            });
+            targets.push(id);
+        }
+        let n = q + event_keys.len();
+
+        // Quiescent states first, one per model state, all initial; then the
+        // event states, sharing their class's label strings.
+        kripke.model_state = (0..q).chain(event_keys.iter().map(|&(to, _)| to)).collect();
+        kripke.initial = (0..q).collect();
+        kripke.incoming_event = vec![None; q];
+        kripke.incoming_event.extend(
+            event_keys.iter().map(|&(_, c)| Some(classes.classes[c as usize].event.clone())),
+        );
+        kripke.incoming_app = vec![None; q];
+        kripke.incoming_app.extend(
+            event_keys.iter().map(|&(_, c)| Some(classes.classes[c as usize].app.clone())),
+        );
+
+        // Label rows: every state carries its model state's attribute atoms
+        // (decoded once per model state by odometer, no division); event states
+        // add their class's three atoms.
+        let attrs = schema.attr_count();
+        let mut digit_table = vec![0u8; q * attrs];
+        for s in 1..q {
+            let (prev, row) = digit_table[(s - 1) * attrs..(s + 1) * attrs].split_at_mut(attrs);
+            row.copy_from_slice(prev);
+            schema.advance(row);
+        }
+        let mut rows = vec![BitSet::empty(n); kripke.atoms.len()];
+        for (s, &ms) in kripke.model_state.iter().enumerate() {
+            let digits = &digit_table[ms * attrs..(ms + 1) * attrs];
+            for (atoms, &d) in attr_atoms.iter().zip(digits) {
+                rows[atoms[d as usize]].insert(s);
             }
         }
+        for (s, &(_, class)) in (q..).zip(&event_keys) {
+            for &atom in &classes.classes[class as usize].atoms {
+                rows[atom].insert(s);
+            }
+        }
+        kripke.atom_rows = rows;
+        kripke.atom_lookup = atom_lookup;
+
+        // Per-model-state target groups by counting sort on the source column.
+        let mut group_offsets = vec![0u32; q + 1];
+        for t in &model.transitions {
+            group_offsets[t.from + 1] += 1;
+        }
+        for ms in 0..q {
+            group_offsets[ms + 1] += group_offsets[ms];
+        }
+        let mut cursor: Vec<u32> = group_offsets[..q].to_vec();
+        let mut grouped = vec![0u32; targets.len()];
+        for (t, &target) in model.transitions.iter().zip(&targets) {
+            grouped[cursor[t.from] as usize] = target;
+            cursor[t.from] += 1;
+        }
+        sort_dedup_groups(&mut group_offsets, &mut grouped);
         kripke.transition_targets = targets;
-        kripke.set_transitions(edges);
-        kripke.set_labels(&per_state);
+        kripke.set_transitions_grouped(&group_offsets, &grouped);
         kripke
     }
 
@@ -373,6 +358,7 @@ impl Kripke {
         model: &StateModel,
         changed_app: &str,
     ) -> Option<(Kripke, bool)> {
+        let _span = soteria_obs::span("kripke.delta");
         let q = model.state_count();
         let schema = &model.schema;
         let n_old = base.state_count();
@@ -713,12 +699,12 @@ impl Kripke {
 
     /// Installs the transition relation from a flat per-model-state CSR of
     /// target lists (`grouped[group_offsets[ms]..group_offsets[ms + 1]]` is
-    /// model state `ms`'s sorted, deduplicated target list). Produces the same
-    /// CSR arrays as [`Kripke::set_transitions`] over the equivalent edge
-    /// list: iterating sources in ascending order with ascending targets per
-    /// source *is* the globally sorted edge order, so no sort is needed.
-    /// States with no
-    /// outgoing edge get the same totalising self-loop.
+    /// model state `ms`'s sorted, deduplicated target list); every Kripke state
+    /// over `ms` gets that list as its successors. This is the one CSR emitter:
+    /// iterating sources in ascending order with ascending targets per source
+    /// *is* the globally sorted edge order, so no edge-list sort is needed, and
+    /// the arrays match the reference builder's sort-based emitter. A state
+    /// whose group is empty gets a totalising self-loop.
     fn set_transitions_grouped(&mut self, group_offsets: &[u32], grouped: &[u32]) {
         let n = self.state_count();
         debug_assert!(n <= u32::MAX as usize, "state universe exceeds u32 indexing");
@@ -744,7 +730,7 @@ impl Kripke {
             }
         }
         // Reverse CSR by counting sort; filling in (source asc, target asc)
-        // order matches `set_transitions`' sorted-edge fill.
+        // order keeps each predecessor list sorted.
         let mut in_degree = vec![0u32; n];
         for &to in &succ_targets {
             in_degree[to as usize] += 1;
@@ -780,6 +766,127 @@ fn intern_atom(atoms: &mut Vec<String>, lookup: &mut HashMap<String, usize>, nam
     lookup.insert(name.clone(), i);
     atoms.push(name);
     i
+}
+
+/// Sorts and deduplicates each group of a flat grouped list in place
+/// (`grouped[offsets[g]..offsets[g + 1]]` is group `g`), compacting the groups
+/// and rewriting `offsets` to match.
+fn sort_dedup_groups(offsets: &mut [u32], grouped: &mut Vec<u32>) {
+    let mut write = 0usize;
+    let mut lo = 0usize;
+    for end in offsets.iter_mut().skip(1) {
+        let hi = *end as usize;
+        grouped[lo..hi].sort_unstable();
+        let start = write;
+        for i in lo..hi {
+            let target = grouped[i];
+            if write == start || grouped[write - 1] != target {
+                grouped[write] = target;
+                write += 1;
+            }
+        }
+        *end = write as u32;
+        lo = hi;
+    }
+    grouped.truncate(write);
+}
+
+/// One label class: a distinct `(event label, app)` pair among a model's
+/// transitions.
+struct LabelClass {
+    /// The rendered event label, shared by the class's event states.
+    event: Arc<str>,
+    /// The contributing app, shared by the class's event states.
+    app: Arc<str>,
+    /// The `event:`, `triggered` and `by-app:` atoms of the class's event states.
+    atoms: [usize; 3],
+}
+
+/// The label classes of one model, numbered in order of first occurrence.
+///
+/// A transition resolves through three memo levels, cheapest first: the last
+/// label allocation seen (consecutive transitions of a lifted union block share
+/// one `Arc`), a map keyed by allocation address, and a map keyed by the
+/// rendered `(event label, app)` value, so distinct allocations with equal
+/// contents still share one class. Only the last level renders the label, once
+/// per distinct allocation.
+#[derive(Default)]
+struct LabelClasses {
+    last: Option<(*const TransitionLabel, u32)>,
+    by_ptr: HashMap<*const TransitionLabel, u32>,
+    by_value: HashMap<(String, String), u32>,
+    classes: Vec<LabelClass>,
+}
+
+impl LabelClasses {
+    /// The class of `label`. A new class interns its atoms (`event:`, then
+    /// `triggered`, then `by-app:`), which is the order the reference builder
+    /// interns them in when the class's first event state appears.
+    fn resolve(
+        &mut self,
+        label: &Arc<TransitionLabel>,
+        atoms: &mut Vec<String>,
+        lookup: &mut HashMap<String, usize>,
+    ) -> u32 {
+        let ptr = Arc::as_ptr(label);
+        if let Some((last, class)) = self.last {
+            if last == ptr {
+                return class;
+            }
+        }
+        let class = match self.by_ptr.get(&ptr) {
+            Some(&class) => class,
+            None => {
+                let next = self.classes.len() as u32;
+                let key = (label.event.kind.label(), label.app.clone());
+                let class = match self.by_value.entry(key) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        let (event, app) = e.key();
+                        self.classes.push(LabelClass {
+                            event: Arc::from(event.as_str()),
+                            app: Arc::from(app.as_str()),
+                            atoms: [
+                                intern_atom(atoms, lookup, format!("event:{event}")),
+                                intern_atom(atoms, lookup, "triggered".to_string()),
+                                intern_atom(atoms, lookup, format!("by-app:{app}")),
+                            ],
+                        });
+                        *e.insert(next)
+                    }
+                };
+                self.by_ptr.insert(ptr, class);
+                class
+            }
+        };
+        self.last = Some((ptr, class));
+        class
+    }
+}
+
+/// Hasher for the packed `(destination, class)` event-state keys: one
+/// multiply, with the high half folded down so the table's bucket bits see the
+/// destination as well as the class. The keys are dense ids this module
+/// assigns, never values taken from outside the program, so the default
+/// hasher's flooding resistance would buy nothing here.
+#[derive(Default)]
+struct PackedKeyHasher(u64);
+
+impl Hasher for PackedKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64((self.0 << 8) | b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
 }
 
 /// Interns the schema-derived attribute atoms and installs the lazy-naming
@@ -878,6 +985,12 @@ mod tests {
         assert!(kripke.holds(event_state, "attr:valve.valve=closed"));
         assert!(kripke.holds(event_state, "by-app:WaterLeak"));
         assert!(!kripke.holds(0, "triggered"));
+    }
+
+    #[test]
+    fn matches_the_reference_builder() {
+        let model = water_leak_model();
+        assert_eq!(Kripke::from_state_model(&model), reference::from_state_model(&model));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * [`Kripke`] — Kripke structures derived from state models, with event labels
 //!   exposed as atomic propositions, the transition relation stored once as forward
-//!   and reverse CSR arrays, and state names formatted lazily on demand;
+//!   and reverse CSR arrays, and state names formatted lazily on demand; built in
+//!   time linear in the model's transitions from interned label classes;
 //! * [`Ctl`] — CTL formula syntax with convenience builders and structural hashing;
 //! * [`ModelChecker`] — exact CTL model checking with two engines (O(V+E)
 //!   frontier/elimination fixpoints over packed bitsets, and an explicit per-state
@@ -27,6 +28,9 @@ pub mod bitset;
 pub mod checker;
 pub mod ctl;
 pub mod kripke;
+// Reference oracles, kept off production paths: `legacy` for the checker and
+// `kripke::reference` for the Kripke builder (a child of `kripke` so it can
+// set the private CSR fields).
 pub mod legacy;
 pub mod parallel;
 pub mod smv;

@@ -24,7 +24,7 @@ struct KripkeSpec {
 
 impl KripkeSpec {
     /// `n` states, 0–3 successors each (deadlocks are allowed —
-    /// `Kripke::set_transitions` totalises them), random labelling over four
+    /// `Kripke::from_lists` totalises them), random labelling over four
     /// atoms, and a random non-empty initial set.
     fn random(n: usize, rng: &mut TestRng) -> Self {
         let successor_lists: Vec<Vec<usize>> = (0..n)

@@ -235,6 +235,50 @@ fn cancellation_timeout_and_drain_leave_closed_well_formed_spans() {
     assert_eq!(ingest_stages, 2, "expected ingest stages for wedged+after only");
 }
 
+/// Kripke construction is visible in traces on both paths: a cold `env` job
+/// records `kripke.build`, and an `update` whose edit changes the member's
+/// model records `kripke.delta` in the re-verified group's trace, beside
+/// `union.delta`.
+#[test]
+fn env_then_update_traces_both_kripke_builders() {
+    let _lock = obs_lock();
+    let _scope = ObsScope::enabled();
+    let service = service_with_workers(2);
+    let members = ["SmokeAlarm", "WaterLeakDetector", "ThermostatEnergyControl"];
+    for id in members {
+        let source = soteria_corpus::find_app(id).expect("corpus app").1;
+        service.submit_app(id, &source).expect("admitted").wait().expect("analyzes");
+    }
+    service
+        .submit_environment_by_names("RunningGroup", &members)
+        .expect("admitted")
+        .wait()
+        .expect("group analyzes");
+    let source = soteria_corpus::find_app("WaterLeakDetector").expect("corpus app").1;
+    let edited = source.replace("valve_device.close()", "valve_device.open()");
+    assert_ne!(edited, source, "the edit changes the member");
+    let (app, envs) = service.resubmit("WaterLeakDetector", &edited).expect("resubmitted");
+    app.wait().expect("edited member analyzes");
+    assert_eq!(envs.len(), 1, "one resident group contains the member");
+    envs[0].wait().expect("group re-verifies");
+    assert!(service.stats().env_incremental >= 1, "update skipped the incremental path");
+    service.quiesce();
+
+    let spans = soteria_obs::drain_spans();
+    assert_well_formed("env then update", &spans);
+    let traces_of = |label: &str| -> Vec<u64> {
+        spans.iter().filter(|s| s.label == label).map(|s| s.trace).collect()
+    };
+    assert!(!traces_of("kripke.build").is_empty(), "env job recorded no kripke.build span");
+    let delta = traces_of("kripke.delta");
+    assert!(!delta.is_empty(), "update recorded no kripke.delta span");
+    let union_delta = traces_of("union.delta");
+    assert!(
+        delta.iter().any(|t| *t != 0 && union_delta.contains(t)),
+        "kripke.delta and union.delta do not share the re-verified group's trace"
+    );
+}
+
 /// With the fake clock, a histogram snapshot is an exact, reproducible value:
 /// same durations recorded -> identical snapshot, with hand-computable
 /// quantiles (bucket upper bounds, integer ranks).
