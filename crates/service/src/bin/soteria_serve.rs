@@ -48,7 +48,8 @@
 
 use soteria_service::protocol::{self, AppSource, Request};
 use soteria_service::{
-    AdmissionPolicy, AppJob, CacheDisposition, EnvJob, EnvResult, Service, ServiceOptions,
+    AdmissionPolicy, AppJob, AppKind, CacheDisposition, EnvJob, EnvKind, EnvResult, Job,
+    JobKind, Service, ServiceOptions,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -67,52 +68,35 @@ enum PendingOut {
     Error(String),
 }
 
-/// The serve loop's name → live-job index, backing `cancel <name>` requests.
-/// App and environment namespaces are separate (matching the service, where an
-/// app and a group may legally share a name), so `cancel <name>` cancels every
-/// in-flight job under that name, of either kind. Finished jobs are pruned on
-/// every request line, so the maps never outgrow the in-flight set (same
-/// discipline as `Service::forget_finished`).
-#[derive(Default)]
-struct LiveJobs {
-    apps: HashMap<String, AppJob>,
-    envs: HashMap<String, EnvJob>,
-}
+/// The serve loop's name → live-job index for one job kind, backing `cancel
+/// <name>` requests. App and environment namespaces are separate (matching the
+/// service, where an app and a group may legally share a name), so `cancel
+/// <name>` cancels every in-flight job under that name, of either kind.
+/// Finished jobs are pruned on every request line, so the maps never outgrow
+/// the in-flight set (same discipline as `Service::forget_finished`).
+struct LiveJobs<K: JobKind>(HashMap<String, Job<K>>);
 
-impl LiveJobs {
-    fn track_app(&mut self, job: &AppJob) {
-        self.apps.insert(job.name().to_string(), job.clone());
-    }
-
-    fn track_env(&mut self, job: &EnvJob) {
-        self.envs.insert(job.name().to_string(), job.clone());
+impl<K: JobKind> LiveJobs<K> {
+    fn track(&mut self, job: &Job<K>) {
+        self.0.insert(job.name().to_string(), job.clone());
     }
 
     fn cancel(&mut self, name: &str) -> bool {
-        let app = self.apps.remove(name).map(|job| job.cancel()).unwrap_or(false);
-        let env = self.envs.remove(name).map(|job| job.cancel()).unwrap_or(false);
-        app || env
+        self.0.remove(name).is_some_and(|job| job.cancel())
     }
 
     fn prune_finished(&mut self) {
-        self.apps.retain(|_, job| !job.is_ready());
-        self.envs.retain(|_, job| !job.is_ready());
+        self.0.retain(|_, job| !job.is_ready());
     }
 
     /// Blocks until every tracked in-flight job has settled (the `sync` verb),
     /// returning how many were waited on. Serializes pipelined request streams:
     /// the next line is not read until everything before the `sync` finished.
     fn sync(&self) -> usize {
-        let mut settled = 0;
-        for job in self.apps.values() {
+        for job in self.0.values() {
             let _ = job.wait();
-            settled += 1;
         }
-        for job in self.envs.values() {
-            let _ = job.wait();
-            settled += 1;
-        }
-        settled
+        self.0.len()
     }
 }
 
@@ -194,7 +178,8 @@ fn serve(
         // Live jobs by name, so `cancel <name>` can reach the handle. Note the
         // submissions below go through the service's admission control: with
         // `--admission reject` a full queue turns into an error response line.
-        let mut live = LiveJobs::default();
+        let mut live_apps = LiveJobs::<AppKind>(HashMap::new());
+        let mut live_envs = LiveJobs::<EnvKind>(HashMap::new());
         for line in input.lines() {
             let pending = match protocol::parse_request(&line?) {
                 Ok(None) => continue,
@@ -203,7 +188,7 @@ fn serve(
                     .and_then(|text| service.submit_app(&name, &text).map_err(|e| e.to_string()))
                 {
                     Ok(job) => {
-                        live.track_app(&job);
+                        live_apps.track(&job);
                         PendingOut::App(job)
                     }
                     Err(error) => PendingOut::Error(error),
@@ -212,7 +197,7 @@ fn serve(
                     let refs: Vec<&str> = members.iter().map(String::as_str).collect();
                     match service.submit_environment_by_names(&name, &refs) {
                         Ok(job) => {
-                            live.track_env(&job);
+                            live_envs.track(&job);
                             PendingOut::Env(job)
                         }
                         Err(error) => PendingOut::Error(error.to_string()),
@@ -222,22 +207,25 @@ fn serve(
                     .and_then(|text| service.resubmit(&name, &text).map_err(|e| e.to_string()))
                 {
                     Ok((app, envs)) => {
-                        live.track_app(&app);
+                        live_apps.track(&app);
                         for env in &envs {
-                            live.track_env(env);
+                            live_envs.track(env);
                         }
                         PendingOut::Update { app, envs }
                     }
                     Err(error) => PendingOut::Error(error),
                 },
                 Ok(Some(Request::Cancel { name })) => {
-                    let cancelled = live.cancel(&name);
+                    // Both kinds, so no short-circuit.
+                    let cancelled = live_apps.cancel(&name) | live_envs.cancel(&name);
                     PendingOut::Cancel { name, cancelled }
                 }
                 Ok(Some(Request::Stats)) => PendingOut::Stats,
                 Ok(Some(Request::Metrics)) => PendingOut::Metrics,
                 Ok(Some(Request::Faults)) => PendingOut::Faults,
-                Ok(Some(Request::Sync)) => PendingOut::Sync { settled: live.sync() },
+                Ok(Some(Request::Sync)) => {
+                    PendingOut::Sync { settled: live_apps.sync() + live_envs.sync() }
+                }
                 // Synchronous in the reader: no further request is even parsed
                 // until the drain settled everything (requests still in the
                 // pipe then fail with a "draining" error line — by design).
@@ -245,7 +233,8 @@ fn serve(
                     service.drain(deadline_ms.map(std::time::Duration::from_millis)),
                 ),
             };
-            live.prune_finished();
+            live_apps.prune_finished();
+            live_envs.prune_finished();
             // A send only fails after the writer bailed on an I/O error (client
             // gone); keep draining stdin so the submit side stays consistent.
             let _ = tx.send((job_index, pending));

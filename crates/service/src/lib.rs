@@ -7,8 +7,10 @@
 //! arrive over time and results are pure functions of `(source, configuration)`:
 //!
 //! * **Job queue** — [`Service::submit_app`] / [`Service::submit_environment`]
-//!   return [`AppJob`] / [`EnvJob`] ticket handles immediately; results are
-//!   awaited individually ([`AppJob::wait`]) or collected in submission order
+//!   return [`AppJob`] / [`EnvJob`] ticket handles immediately — both aliases
+//!   of one generic [`Job`] handle, so apps and environments share a single
+//!   admission/settle/cancel path ([`JobKind`]); results are awaited
+//!   individually ([`Job::wait`]) or collected in submission order
 //!   ([`Service::collect`]).
 //! * **Persistent worker pool** — jobs run on `soteria-exec`'s long-lived
 //!   [`WorkerPool`](soteria_exec::WorkerPool) (no per-call thread spawns). An
@@ -28,7 +30,7 @@
 //!   queued-but-unstarted jobs, with a configurable policy at the bound
 //!   ([`AdmissionPolicy::Block`] waits for a slot, [`AdmissionPolicy::Reject`]
 //!   fails fast with [`ServiceError::QueueFull`]); in-flight jobs are
-//!   cancellable ([`AppJob::cancel`] / [`EnvJob::cancel`] / [`CancelOnDrop`]),
+//!   cancellable ([`Job::cancel`] / [`CancelOnDrop`]),
 //!   which removes not-yet-claimed pipeline stages from the queue, revokes
 //!   parked environment jobs, and settles the ticket as
 //!   [`JobError::Cancelled`] without caching anything.
@@ -99,10 +101,10 @@ mod ticket;
 pub use cache::{app_cache_key, env_cache_key, source_fingerprint, CacheKey, CacheStats};
 pub use fs::{FaultAction, FaultFs, FileSystem, RealFs};
 pub use service::{
-    AdmissionPolicy, AppJob, AppResult, CacheDisposition, Cancellable, CancelOnDrop,
-    DrainReport, EnvJob, EnvResult, FaultKind, FaultRecord, JobError, JobHandle, JobOutcome,
-    Service, ServiceError, ServiceOptions, ServiceStats, ADMISSION_ENV, DEADLINE_ENV,
-    FAULT_LOG_ENV, MAX_PENDING_ENV, STORE_DIR_ENV, STORE_FAULTS_ENV,
+    AdmissionPolicy, AppJob, AppKind, AppResult, CacheDisposition, CancelOnDrop, DrainReport,
+    EnvJob, EnvKind, EnvResult, FaultKind, FaultRecord, Job, JobError, JobHandle, JobKind,
+    JobOutcome, Service, ServiceError, ServiceOptions, ServiceStats, ADMISSION_ENV,
+    DEADLINE_ENV, FAULT_LOG_ENV, MAX_PENDING_ENV, STORE_DIR_ENV, STORE_FAULTS_ENV,
 };
 pub use store::{
     frame_entry, parse_entry, EntryError, PersistentStore, StoreBucket, StoreStats,
@@ -284,6 +286,42 @@ mod tests {
         submit(&tiny, "b", SMOKE_ON).wait().expect("parses"); // evicts a (and its name)
         match submit_env_names(&tiny, "G", &["a"]) {
             Err(ServiceError::UnknownMember(member)) => assert_eq!(member, "a"),
+            Err(other) => panic!("expected UnknownMember, got {other}"),
+            Ok(_) => panic!("evicted member accepted"),
+        }
+    }
+
+    #[test]
+    fn resubmit_skips_a_group_with_an_unresolvable_member() {
+        // Memory-only with one cache slot: an evicted frozen member takes its
+        // name with it, so it is unresolvable everywhere.
+        let tiny = Service::new(
+            Soteria::with_config(AnalysisConfig { threads: 1, ..AnalysisConfig::paper() }),
+            ServiceOptions {
+                workers: 1,
+                cache_capacity: 1,
+                max_pending: 0,
+                pending_deadline: None,
+                running_deadline: None,
+                store_dir: None,
+                ..ServiceOptions::default()
+            },
+        );
+        // Valve members, so G has properties to check and retains a base.
+        let opens = WATER_LEAK.replace("valve_device.close()", "valve_device.open()");
+        let a = submit(&tiny, "a", WATER_LEAK);
+        let b = submit(&tiny, "b", &opens);
+        submit_env(&tiny, "G", &[a, b]).wait().expect("members parse");
+        submit(&tiny, "c", SMOKE_ON).wait().expect("parses"); // evicts b (and its name)
+
+        // The update itself succeeds; the stale group is skipped, not failed.
+        let edited = format!("{WATER_LEAK}\n");
+        let (app, envs) = tiny.resubmit("a", &edited).expect("update never fails on G's behalf");
+        assert!(envs.is_empty(), "group over an unresolvable member was resubmitted");
+        app.wait().expect("edited app completes");
+        // The fail-fast path still reports the same member as unknown.
+        match tiny.submit_environment_by_names("G", &["a", "b"]) {
+            Err(ServiceError::UnknownMember(member)) => assert_eq!(member, "b"),
             Err(other) => panic!("expected UnknownMember, got {other}"),
             Ok(_) => panic!("evicted member accepted"),
         }

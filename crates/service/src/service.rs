@@ -225,7 +225,7 @@ enum Stage {
     Queued(TaskId),
     /// A worker is executing one of the job's stages.
     Running,
-    /// The result was settled through the finish path (cached + fulfilled).
+    /// The result was settled through `ServiceInner::settle` (cached + fulfilled).
     Finished,
     /// The ticket was settled as [`JobError::Cancelled`]; any still-running
     /// stage discards its result, any still-queued stage is skipped.
@@ -257,7 +257,7 @@ struct ControlState {
 
 /// Per-scheduled-job cancellation state, shared by the submitter's handle (and
 /// any coalesced handles), the pipeline-stage tasks, and the service.
-pub(crate) struct JobControl {
+pub struct JobControl {
     state: Mutex<ControlState>,
     /// When the job was admitted, for the pending deadline.
     submitted_at: Instant,
@@ -502,13 +502,74 @@ impl Admission {
     }
 }
 
+/// The outcome of a job of kind `K`.
+type KindResult<K> = Result<Arc<<K as JobKind>::Output>, JobError>;
+
+/// A scheduled job's shared ticket and cancellation control: what a kind's
+/// in-flight index holds, and what an identical submission coalesces onto.
+type InFlight<K> = (Ticket<KindResult<K>>, Arc<JobControl>);
+
+/// A kind of service job: app analyses ([`AppKind`]) or environment analyses
+/// ([`EnvKind`]). Both kinds go through one admission, settle, cancel and
+/// timeout path; a kind supplies only what differs — its output, its result
+/// cache, its in-flight index, and the freeze step. The methods name service
+/// internals, so these two kinds are the only implementations; code generic
+/// over a kind is monomorphized, never dispatched dynamically.
+pub trait JobKind: Sized + 'static {
+    /// The frozen analysis a finished job shares with every holder.
+    type Output;
+    /// The in-flight index; its lock spans the whole admission decision.
+    type Index;
+    /// Observability counter names for the three cache dispositions.
+    const HIT: &'static str;
+    /// See [`JobKind::HIT`].
+    const MISS: &'static str;
+    /// See [`JobKind::HIT`].
+    const COALESCED: &'static str;
+    /// The kind's result cache.
+    fn cache(inner: &ServiceInner) -> &Mutex<ResultCache<KindResult<Self>>>;
+    /// The kind's in-flight index.
+    fn index(inner: &ServiceInner) -> &Mutex<Self::Index>;
+    /// The in-flight job an identical submission coalesces onto.
+    fn in_flight(index: &Self::Index, name: &str, key: CacheKey) -> Option<InFlight<Self>>;
+    /// Records an admitted submission: scheduled (`Some`) or a cache hit
+    /// (`None`).
+    fn enter(index: &mut Self::Index, name: &str, key: CacheKey, in_flight: Option<InFlight<Self>>);
+    /// Leaves the in-flight index: drops the job's entry if it still holds
+    /// the job's ticket (a newer submission may have replaced it).
+    fn leave(index: &mut Self::Index, job: &Job<Self>);
+    /// Runs under the index lock once a result froze into the cache, before
+    /// the job leaves the index; `evicted` is what the cache insert pushed
+    /// out. Nothing by default.
+    fn freeze(
+        _inner: &ServiceInner,
+        _index: &mut Self::Index,
+        _job: &Job<Self>,
+        _evicted: Option<CacheKey>,
+    ) {
+    }
+    /// Wraps a handle for the submission log.
+    fn handle(job: Job<Self>) -> JobHandle;
+}
+
+/// App analysis jobs: in flight under their *name* in the registry, which
+/// also backs name-based environment members.
+pub struct AppKind;
+
+/// Environment analysis jobs: in flight under their content key.
+pub struct EnvKind;
+
 /// Handle to a submitted app job.
-#[derive(Clone)]
-pub struct AppJob {
+pub type AppJob = Job<AppKind>;
+/// Handle to a submitted environment job.
+pub type EnvJob = Job<EnvKind>;
+
+/// Handle to a submitted job of kind `K` ([`AppJob`] or [`EnvJob`]).
+pub struct Job<K: JobKind> {
     name: String,
     key: CacheKey,
     disposition: CacheDisposition,
-    ticket: Ticket<AppResult>,
+    ticket: Ticket<KindResult<K>>,
     /// Present on scheduled (and coalesced-onto-scheduled) jobs; `None` on
     /// cache hits, which have nothing left to cancel.
     control: Option<Arc<JobControl>>,
@@ -516,13 +577,27 @@ pub struct AppJob {
     service: Weak<ServiceInner>,
 }
 
-impl AppJob {
-    /// The submitted app name.
+impl<K: JobKind> Clone for Job<K> {
+    fn clone(&self) -> Self {
+        Job {
+            name: self.name.clone(),
+            key: self.key,
+            disposition: self.disposition,
+            ticket: self.ticket.clone(),
+            control: self.control.clone(),
+            service: self.service.clone(),
+        }
+    }
+}
+
+impl<K: JobKind> Job<K> {
+    /// The submitted app or group name.
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// The job's content address (input to member-dependent environment keys).
+    /// The job's content address (an app's is input to member-dependent
+    /// environment keys).
     pub fn key(&self) -> CacheKey {
         self.key
     }
@@ -532,13 +607,13 @@ impl AppJob {
         self.disposition
     }
 
-    /// True once [`AppJob::wait`] would not block.
+    /// True once [`Job::wait`] would not block.
     pub fn is_ready(&self) -> bool {
         self.ticket.is_ready()
     }
 
     /// Blocks until the analysis (or error) is available.
-    pub fn wait(&self) -> AppResult {
+    pub fn wait(&self) -> KindResult<K> {
         self.ticket.wait()
     }
 
@@ -556,124 +631,64 @@ impl AppJob {
     /// Cancellation is by *computation*, not by handle: coalesced handles share
     /// the scheduled job, so cancelling any of them cancels all waiters (each
     /// sees `Err(Cancelled)`), and a parked environment job over a cancelled
-    /// member fails deterministically with [`JobError::MemberFailed`].
+    /// member fails deterministically with [`JobError::MemberFailed`]. An
+    /// environment job is cancellable for its whole pre-run life: while
+    /// parked, the task is revoked so member completion releases nothing; once
+    /// the last member resolves and the task is enqueued, the cancel revokes
+    /// it from the injector queue like any queued stage.
     pub fn cancel(&self) -> bool {
         let Some(control) = &self.control else { return false };
         let Some(inner) = self.service.upgrade() else { return false };
         if !control.cancel_stage(&inner) {
             return false;
         }
-        inner.cancel_app(&self.name, &self.ticket);
+        inner.cancelled.fetch_add(1, Ordering::Relaxed);
+        inner.abandon(self, JobError::Cancelled);
         true
     }
 
     /// Wraps the handle in a guard that cancels the job when dropped (unless
     /// [disarmed](CancelOnDrop::disarm)) — the RAII shape for callers that
     /// abandon responses, e.g. a serve loop whose client disconnected.
-    pub fn cancel_on_drop(self) -> CancelOnDrop<AppJob> {
+    pub fn cancel_on_drop(self) -> CancelOnDrop<K> {
         CancelOnDrop { job: Some(self) }
     }
-}
 
-/// Handle to a submitted environment job.
-#[derive(Clone)]
-pub struct EnvJob {
-    name: String,
-    key: CacheKey,
-    disposition: CacheDisposition,
-    ticket: Ticket<EnvResult>,
-    control: Option<Arc<JobControl>>,
-    service: Weak<ServiceInner>,
-}
-
-impl EnvJob {
-    /// The submitted group name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The job's content address.
-    pub fn key(&self) -> CacheKey {
-        self.key
-    }
-
-    /// How the submission resolved against the cache.
-    pub fn disposition(&self) -> CacheDisposition {
-        self.disposition
-    }
-
-    /// True once [`EnvJob::wait`] would not block.
-    pub fn is_ready(&self) -> bool {
-        self.ticket.is_ready()
-    }
-
-    /// Blocks until the environment analysis (or error) is available.
-    pub fn wait(&self) -> EnvResult {
-        self.ticket.wait()
-    }
-
-    /// Requests cancellation; same contract as [`AppJob::cancel`]. A parked
-    /// environment job is cancellable for its whole pre-run life: while parked,
-    /// the task is revoked so member completion releases nothing; once the last
-    /// member resolves and the task is enqueued, the cancel revokes it from the
-    /// injector queue like any queued stage.
-    pub fn cancel(&self) -> bool {
-        let Some(control) = &self.control else { return false };
-        let Some(inner) = self.service.upgrade() else { return false };
-        if !control.cancel_stage(&inner) {
-            return false;
+    /// Waits for the result until `cutoff` (forever when `None`); `false` when
+    /// the cutoff passed first.
+    fn wait_until(&self, cutoff: Option<Instant>) -> bool {
+        match cutoff {
+            Some(cutoff) => self.ticket.wait_deadline(cutoff).is_some(),
+            None => {
+                let _ = self.ticket.wait();
+                true
+            }
         }
-        inner.cancel_env(self.key, &self.ticket);
-        true
-    }
-
-    /// Wraps the handle in a guard that cancels the job when dropped (unless
-    /// [disarmed](CancelOnDrop::disarm)).
-    pub fn cancel_on_drop(self) -> CancelOnDrop<EnvJob> {
-        CancelOnDrop { job: Some(self) }
-    }
-}
-
-/// A job handle that can request cancellation ([`AppJob`] / [`EnvJob`]).
-pub trait Cancellable {
-    /// Requests cancellation; see [`AppJob::cancel`] for the contract.
-    fn cancel(&self) -> bool;
-}
-
-impl Cancellable for AppJob {
-    fn cancel(&self) -> bool {
-        AppJob::cancel(self)
-    }
-}
-
-impl Cancellable for EnvJob {
-    fn cancel(&self) -> bool {
-        EnvJob::cancel(self)
     }
 }
 
 /// Drop guard around a job handle: cancels the job when dropped, unless
 /// [`CancelOnDrop::disarm`]ed first. Dereferences to the wrapped handle.
-pub struct CancelOnDrop<J: Cancellable> {
-    job: Option<J>,
+pub struct CancelOnDrop<K: JobKind> {
+    job: Option<Job<K>>,
 }
 
-impl<J: Cancellable> CancelOnDrop<J> {
+impl<K: JobKind> CancelOnDrop<K> {
     /// Defuses the guard and returns the handle: the job will *not* be
     /// cancelled on drop.
-    pub fn disarm(mut self) -> J {
+    pub fn disarm(mut self) -> Job<K> {
         self.job.take().expect("guard disarmed twice")
     }
 }
 
-impl<J: Cancellable> std::ops::Deref for CancelOnDrop<J> {
-    type Target = J;
-    fn deref(&self) -> &J {
+impl<K: JobKind> std::ops::Deref for CancelOnDrop<K> {
+    type Target = Job<K>;
+    fn deref(&self) -> &Job<K> {
         self.job.as_ref().expect("guard already disarmed")
     }
 }
 
-impl<J: Cancellable> Drop for CancelOnDrop<J> {
+impl<K: JobKind> Drop for CancelOnDrop<K> {
     fn drop(&mut self) {
         if let Some(job) = self.job.take() {
             job.cancel();
@@ -963,20 +978,23 @@ pub struct ServiceStats {
     pub store: Option<StoreStats>,
 }
 
-/// The latest submission under one app name. While the job is in flight the
-/// ticket (and its cancellation control) are held here, for coalescing,
-/// name-based environment members, and `cancel <name>` protocol requests; once
-/// the result freezes into the cache both are dropped, leaving a bare 16-byte
-/// key that is itself evicted when its cache entry is — the registry never
-/// outgrows live tickets + cache capacity.
-struct RegistryEntry {
+/// The latest submission under one app name. While the job is in flight its
+/// ticket and cancellation control are held here, for coalescing and
+/// name-based environment members; once the result freezes into the cache
+/// they are dropped, leaving a bare 16-byte key that is itself evicted when
+/// its cache entry is — the registry never outgrows live tickets + cache
+/// capacity.
+pub struct RegistryEntry {
     key: CacheKey,
-    ticket: Option<Ticket<AppResult>>,
-    control: Option<Arc<JobControl>>,
+    in_flight: Option<InFlight<AppKind>>,
 }
 
-/// An in-flight environment job's shared ticket and cancellation control.
-type InFlightEnv = (Ticket<EnvResult>, Arc<JobControl>);
+impl RegistryEntry {
+    /// True while the entry pins `ticket` as in flight.
+    fn holds(&self, ticket: &Ticket<AppResult>) -> bool {
+        self.in_flight.as_ref().is_some_and(|(t, _)| t.same(ticket))
+    }
+}
 
 /// The incremental-reverification base retained per environment *group name*:
 /// the last successful analysis plus the checker's exported satisfaction sets.
@@ -992,25 +1010,18 @@ struct EnvBase {
     snapshot: Arc<SatSnapshot>,
 }
 
-/// The ticket of a watched job, either kind — what the deadline sweeper, the
-/// drain, and the drop path settle when they force an outcome.
-#[derive(Clone)]
-enum TicketRef {
-    App(Ticket<AppResult>),
-    Env(Ticket<EnvResult>),
-}
-
 /// One scheduled (miss-path) job under deadline/drain supervision. Entries are
 /// pruned once their control reaches a terminal stage.
 #[derive(Clone)]
 struct Watched {
-    name: String,
-    key: CacheKey,
+    /// The fault-layer address timeouts are recorded against.
+    fault_key: CacheKey,
     control: Arc<JobControl>,
-    ticket: TicketRef,
+    job: JobHandle,
 }
 
-struct ServiceInner {
+/// The shared state behind a [`Service`] and every job handle it issued.
+pub struct ServiceInner {
     soteria: Soteria,
     /// Engine discriminator folded into cache keys (engine choice can change
     /// counterexample traces, hence reports).
@@ -1027,7 +1038,7 @@ struct ServiceInner {
     /// In-flight environment jobs by content key, so identical concurrent
     /// `env` submissions coalesce instead of running the union twice. Entries
     /// are removed at completion or cancellation.
-    envs_in_flight: Mutex<HashMap<u128, InFlightEnv>>,
+    envs_in_flight: Mutex<HashMap<u128, InFlight<EnvKind>>>,
     /// Latest successful analysis + sat-set snapshot per environment group
     /// name, consumed by the incremental re-verification path (see
     /// [`EnvBase`]). Bounded by distinct group names submitted to the service.
@@ -1077,73 +1088,188 @@ fn cacheable<T>(result: &Result<T, JobError>) -> bool {
     )
 }
 
-impl ServiceInner {
-    fn finish_app(
-        &self,
+impl JobKind for AppKind {
+    type Output = AppAnalysis;
+    type Index = HashMap<String, RegistryEntry>;
+    const HIT: &'static str = "cache.app.hit";
+    const MISS: &'static str = "cache.app.miss";
+    const COALESCED: &'static str = "cache.app.coalesced";
+
+    fn cache(inner: &ServiceInner) -> &Mutex<ResultCache<AppResult>> {
+        &inner.apps
+    }
+
+    fn index(inner: &ServiceInner) -> &Mutex<Self::Index> {
+        &inner.registry
+    }
+
+    fn in_flight(registry: &Self::Index, name: &str, key: CacheKey) -> Option<InFlight<Self>> {
+        let entry = registry.get(name).filter(|entry| entry.key == key)?;
+        entry.in_flight.as_ref().filter(|(ticket, _)| !ticket.is_ready()).cloned()
+    }
+
+    fn enter(
+        registry: &mut Self::Index,
         name: &str,
         key: CacheKey,
-        ticket: &Ticket<AppResult>,
-        result: AppResult,
+        in_flight: Option<InFlight<Self>>,
     ) {
-        if cacheable(&result) {
-            let evicted = self.apps.lock().insert(key, result.clone());
-            // The cache owns the frozen result now; stop pinning it via the name
-            // registry (unless a newer submission already replaced the entry), and
-            // drop the bare keys of whatever the insert evicted — a name must never
-            // promise an unresolvable result. With the disk tier enabled the
-            // eviction is a *demotion*: successful results were written through
-            // at completion, so a still-stored key stays resolvable (and keeps
-            // its bare names) through the store. All before fulfilling, so a
-            // waiter that wakes up observes a consistent registry.
-            let mut registry = self.registry.lock();
-            if let Some(entry) = registry.get_mut(name) {
-                if entry.key == key {
-                    entry.ticket = None;
-                    entry.control = None;
-                }
-            }
-            if let Some((evicted_key, _)) = evicted {
-                let demoted = self
-                    .store
-                    .as_ref()
-                    .is_some_and(|s| s.contains(StoreBucket::Apps, evicted_key));
-                if demoted {
-                    soteria_obs::add("store.demote", 1);
-                } else {
-                    registry
-                        .retain(|_, entry| entry.ticket.is_some() || entry.key != evicted_key);
-                }
-            }
-            drop(registry);
-        } else {
-            // A faulted result is never frozen: un-register the name entirely
-            // (it must not promise a result), so resubmitting the same content
-            // schedules a fresh run — which is how a repeat offender reaches
-            // the quarantine threshold.
-            let mut registry = self.registry.lock();
-            let stale = registry
-                .get(name)
-                .is_some_and(|entry| entry.ticket.as_ref().is_some_and(|t| t.same(ticket)));
-            if stale {
-                registry.remove(name);
-            }
-            drop(registry);
+        registry.insert(name.to_string(), RegistryEntry { key, in_flight });
+    }
+
+    fn leave(registry: &mut Self::Index, job: &AppJob) {
+        if registry.get(&job.name).is_some_and(|entry| entry.holds(&job.ticket)) {
+            registry.remove(&job.name);
         }
-        self.release(ticket.fulfil(result));
+    }
+
+    /// The cache owns the frozen result now: stop pinning it through the name
+    /// (keeping the bare key), and drop the bare keys of whatever the insert
+    /// evicted.
+    fn freeze(
+        inner: &ServiceInner,
+        registry: &mut Self::Index,
+        job: &AppJob,
+        evicted: Option<CacheKey>,
+    ) {
+        if let Some(entry) = registry.get_mut(&job.name).filter(|e| e.holds(&job.ticket)) {
+            entry.in_flight = None;
+        }
+        if let Some(evicted) = evicted {
+            inner.forget_evicted(registry, evicted);
+        }
+    }
+
+    fn handle(job: AppJob) -> JobHandle {
+        JobHandle::App(job)
+    }
+}
+
+impl JobKind for EnvKind {
+    type Output = EnvironmentAnalysis;
+    type Index = HashMap<u128, InFlight<EnvKind>>;
+    const HIT: &'static str = "cache.env.hit";
+    const MISS: &'static str = "cache.env.miss";
+    const COALESCED: &'static str = "cache.env.coalesced";
+
+    fn cache(inner: &ServiceInner) -> &Mutex<ResultCache<EnvResult>> {
+        &inner.envs
+    }
+
+    fn index(inner: &ServiceInner) -> &Mutex<Self::Index> {
+        &inner.envs_in_flight
+    }
+
+    fn in_flight(in_flight: &Self::Index, _: &str, key: CacheKey) -> Option<InFlight<Self>> {
+        in_flight.get(&key.0).cloned()
+    }
+
+    fn enter(in_flight: &mut Self::Index, _: &str, key: CacheKey, entry: Option<InFlight<Self>>) {
+        if let Some(entry) = entry {
+            in_flight.insert(key.0, entry);
+        }
+    }
+
+    fn leave(in_flight: &mut Self::Index, job: &EnvJob) {
+        if in_flight.get(&job.key.0).is_some_and(|(ticket, _)| ticket.same(&job.ticket)) {
+            in_flight.remove(&job.key.0);
+        }
+    }
+
+    fn handle(job: EnvJob) -> JobHandle {
+        JobHandle::Environment(job)
+    }
+}
+
+impl ServiceInner {
+    /// Settles a stage's result unless a cancel or timeout already settled the
+    /// ticket, in which case the result is discarded (never cached).
+    ///
+    /// Freezes into the cache before leaving the in-flight index, so a
+    /// concurrent submitter always finds the result in one place or the
+    /// other; leaves before fulfilling, so a waiter that wakes up observes a
+    /// consistent index and in-flight tickets are never already ready. A
+    /// faulted result (see `cacheable`) is never frozen: it just leaves, so
+    /// the name promises nothing and resubmitting the same content schedules
+    /// a fresh run — which is how a repeat offender reaches the quarantine
+    /// threshold.
+    fn settle<K: JobKind>(&self, control: &JobControl, job: &Job<K>, result: KindResult<K>) {
+        if !control.mark_finished() {
+            return;
+        }
+        let frozen = cacheable(&result);
+        let evicted = frozen.then(|| K::cache(self).lock().insert(job.key, result.clone()));
+        let evicted = evicted.flatten();
+        let mut index = K::index(self).lock();
+        if frozen {
+            K::freeze(self, &mut index, job, evicted.as_ref().map(|(key, _)| *key));
+        }
+        K::leave(&mut index, job);
+        drop(index);
+        self.release(job.ticket.fulfil(result));
         self.prune_watched();
     }
 
-    fn finish_env(&self, key: CacheKey, ticket: &Ticket<EnvResult>, result: EnvResult) {
-        // Freeze into the cache before leaving the in-flight map, so a
-        // concurrent submitter always finds the result in one place or the
-        // other; fulfil last, so in-flight tickets are never already ready.
-        // Faulted results (see `cacheable`) skip the freeze and just leave.
-        if cacheable(&result) {
-            let _ = self.envs.lock().insert(key, result.clone());
-        }
-        self.envs_in_flight.lock().remove(&key.0);
-        self.release(ticket.fulfil(result));
+    /// The bookkeeping half of a cancellation or timeout (after
+    /// [`JobControl::cancel_stage_as`] won): leave the in-flight index — the
+    /// name or key must not promise a result, since nothing was cached — then
+    /// settle the ticket with `error`, releasing any parked subscribers (a
+    /// dependent environment job must run to report its member failure).
+    fn abandon<K: JobKind>(&self, job: &Job<K>, error: JobError) {
+        K::leave(&mut K::index(self).lock(), job);
+        self.release(job.ticket.fulfil(Err(error)));
         self.prune_watched();
+    }
+
+    /// Drops the bare registry keys of an app result evicted from the
+    /// in-memory cache — a name must never promise an unresolvable result.
+    /// With the disk tier enabled the eviction is a *demotion* instead:
+    /// successful results were written through at completion, so a
+    /// still-stored key stays resolvable (and keeps its names) through the
+    /// store.
+    fn forget_evicted(&self, registry: &mut HashMap<String, RegistryEntry>, evicted: CacheKey) {
+        if self.store.as_ref().is_some_and(|s| s.contains(StoreBucket::Apps, evicted)) {
+            soteria_obs::add("store.demote", 1);
+        } else {
+            registry.retain(|_, entry| entry.in_flight.is_some() || entry.key != evicted);
+        }
+    }
+
+    /// Runs a stage body under the job's abort handle, so the engine hot loops
+    /// (and scoped helper threads) can poll it, and turns a panic into a
+    /// recorded fault and an [`JobError::Internal`] result. Panics are job
+    /// failures, not worker deaths: an unfulfilled ticket would wedge drain()
+    /// and every later serve response forever. `None` means the stage was
+    /// aborted — the cancel or timeout that latched the abort already settled
+    /// the ticket.
+    fn run_stage<T>(
+        &self,
+        control: &JobControl,
+        name: &str,
+        fault_key: CacheKey,
+        stage: &'static str,
+        body: impl FnOnce() -> T,
+    ) -> Option<Result<T, JobError>> {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            soteria_exec::with_abort(Some(control.abort.clone()), body)
+        }));
+        match caught {
+            Ok(value) => Some(Ok(value)),
+            // NB: `&payload` would coerce the *Box* to `&dyn Any`.
+            Err(payload) if soteria_exec::is_abort_payload(payload.as_ref()) => None,
+            Err(payload) => {
+                let message = panic_message(payload);
+                self.record_fault(
+                    name,
+                    fault_key,
+                    stage,
+                    FaultKind::Panic,
+                    message.clone(),
+                    control.trace,
+                );
+                Some(Err(JobError::Internal(message)))
+            }
+        }
     }
 
     /// Appends to the bounded fault log; a panic also counts a quarantine
@@ -1216,80 +1342,42 @@ impl ServiceInner {
         }
     }
 
-    /// Write-through: durably persists a finished app analysis (when the disk
-    /// tier is enabled), so a restart — even an unclean one — warm-starts from
-    /// it and an LRU eviction demotes instead of dropping. Failures degrade
-    /// into the store's own breaker accounting; the analysis is unaffected.
-    fn persist_app(&self, key: CacheKey, name: &str, source: &str, analysis: &AppAnalysis) {
+    /// Write-through: durably persists a finished result (when the disk tier
+    /// is enabled), so a restart — even an unclean one — warm-starts from it
+    /// and an LRU eviction demotes instead of dropping. Failures degrade into
+    /// the store's own breaker accounting; the analysis is unaffected.
+    fn persist(&self, bucket: StoreBucket, key: CacheKey, payload: impl FnOnce() -> JsonValue) {
         if let Some(store) = &self.store {
             let _span = soteria_obs::span("store.persist");
             soteria_obs::add("store.persist", 1);
-            store.save(StoreBucket::Apps, key, &soteria::app_store_json(name, source, analysis));
+            store.save(bucket, key, &payload());
             self.drain_store_faults();
         }
     }
 
-    /// Write-through for a finished environment analysis. The payload embeds
-    /// its own content address (`env_key`): unlike an app record — whose key is
-    /// recomputable from the stored name and source — an environment's key
-    /// derives from its member *app keys*, which the record does not carry, so
-    /// the embedded copy is what ties the payload to its filename on restore.
-    fn persist_env(&self, key: CacheKey, env: &EnvironmentAnalysis) {
-        if let Some(store) = &self.store {
-            let _span = soteria_obs::span("store.persist");
-            soteria_obs::add("store.persist", 1);
-            let payload = JsonValue::object([
-                ("env_key", JsonValue::string(key.to_string())),
-                ("record", soteria::env_store_json(env)),
-            ]);
-            store.save(StoreBucket::Envs, key, &payload);
-            self.drain_store_faults();
-        }
-    }
-
-    /// Attempts to serve an app miss from the disk tier: load (checksum
-    /// already validated by the store), decode, *re-verify the content
-    /// address* against the stored name and source, and deterministically
-    /// rebuild the full analysis — re-running extraction and attaching the
-    /// stored verdicts, skipping verification. Any mismatch, decode failure,
-    /// or panic quarantines the entry and returns `None`, falling back to a
-    /// fresh computation: a damaged store costs a recompute, never a wrong
-    /// answer.
-    fn restore_app_from_disk(&self, key: CacheKey) -> Option<Arc<AppAnalysis>> {
+    /// Attempts to serve a miss from the disk tier: load (checksum already
+    /// validated by the store), then `decode` — which must re-verify that the
+    /// payload belongs to this key. A decode failure quarantines the entry and
+    /// returns `None`, falling back to a fresh computation: a damaged store
+    /// costs a recompute, never a wrong answer.
+    fn restore<T>(
+        &self,
+        bucket: StoreBucket,
+        key: CacheKey,
+        reason: &str,
+        decode: impl FnOnce(&JsonValue) -> Option<T>,
+    ) -> Option<Arc<T>> {
         let store = self.store.as_ref()?;
-        let value = store.load(StoreBucket::Apps, key)?;
-        let restored = soteria::app_from_store_json(&value)
-            .filter(|stored| {
-                app_cache_key(
-                    &stored.name,
-                    &stored.source,
-                    self.config_fingerprint,
-                    &self.engine_tag,
-                ) == key
-            })
-            .and_then(|stored| {
-                // Extraction is deterministic and the address proves it
-                // succeeded on this exact content once — but a panic here must
-                // degrade to recomputing, never kill the worker.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.soteria.restore_app_analysis(stored).ok()
-                }))
-                .ok()
-                .flatten()
-            });
-        let result = match restored {
-            Some(analysis) => {
+        let value = store.load(bucket, key)?;
+        let result = match decode(&value) {
+            Some(restored) => {
                 store.note_restored();
                 soteria_obs::add("store.restore", 1);
-                Some(Arc::new(analysis))
+                Some(Arc::new(restored))
             }
             None => {
                 soteria_obs::add("store.quarantine", 1);
-                store.quarantine(
-                    StoreBucket::Apps,
-                    key,
-                    "payload does not decode to this key's app record",
-                );
+                store.quarantine(bucket, key, reason);
                 None
             }
         };
@@ -1297,7 +1385,33 @@ impl ServiceInner {
         result
     }
 
-    /// Attempts to serve an environment miss from the disk tier, given the
+    /// Serves an app miss from the disk tier: decodes the stored record,
+    /// *re-verifies the content address* against the stored name and source,
+    /// and deterministically rebuilds the full analysis — re-running
+    /// extraction and attaching the stored verdicts, skipping verification.
+    fn restore_app_from_disk(&self, key: CacheKey) -> Option<Arc<AppAnalysis>> {
+        let reason = "payload does not decode to this key's app record";
+        self.restore(StoreBucket::Apps, key, reason, |value| {
+            let stored = soteria::app_from_store_json(value).filter(|stored| {
+                app_cache_key(
+                    &stored.name,
+                    &stored.source,
+                    self.config_fingerprint,
+                    &self.engine_tag,
+                ) == key
+            })?;
+            // Extraction is deterministic and the address proves it succeeded
+            // on this exact content once — but a panic here must degrade to
+            // recomputing, never kill the worker.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.soteria.restore_app_analysis(stored).ok()
+            }))
+            .ok()
+            .flatten()
+        })
+    }
+
+    /// Serves an environment miss from the disk tier, given the
     /// already-resolved member analyses. The embedded `env_key` must match the
     /// filename's address, the group and member names must match the
     /// submission, and the union is rebuilt from the *live* members (it is
@@ -1309,9 +1423,8 @@ impl ServiceInner {
         group: &str,
         members: &[Arc<AppAnalysis>],
     ) -> Option<Arc<EnvironmentAnalysis>> {
-        let store = self.store.as_ref()?;
-        let value = store.load(StoreBucket::Envs, key)?;
-        let restored = (|| {
+        let reason = "payload does not decode to this key's environment record";
+        self.restore(StoreBucket::Envs, key, reason, |value| {
             let recorded = u128::from_str_radix(value.get("env_key")?.as_str()?, 16).ok()?;
             if recorded != key.0 {
                 return None;
@@ -1330,25 +1443,7 @@ impl ServiceInner {
                 self.soteria.restore_environment(stored, &refs)
             }))
             .ok()
-        })();
-        let result = match restored {
-            Some(env) => {
-                store.note_restored();
-                soteria_obs::add("store.restore", 1);
-                Some(Arc::new(env))
-            }
-            None => {
-                soteria_obs::add("store.quarantine", 1);
-                store.quarantine(
-                    StoreBucket::Envs,
-                    key,
-                    "payload does not decode to this key's environment record",
-                );
-                None
-            }
-        };
-        self.drain_store_faults();
-        result
+        })
     }
 
     /// Resolves an evicted member's frozen result through the disk tier and
@@ -1360,17 +1455,8 @@ impl ServiceInner {
         soteria_obs::add("store.promote", 1);
         let result: AppResult = Ok(analysis);
         let evicted = self.apps.lock().insert(key, result.clone());
-        if let Some((evicted_key, _)) = evicted {
-            let demoted = self
-                .store
-                .as_ref()
-                .is_some_and(|s| s.contains(StoreBucket::Apps, evicted_key));
-            if demoted {
-                soteria_obs::add("store.demote", 1);
-            } else {
-                self.registry.lock()
-                    .retain(|_, entry| entry.ticket.is_some() || entry.key != evicted_key);
-            }
+        if let Some((evicted, _)) = evicted {
+            self.forget_evicted(&mut self.registry.lock(), evicted);
         }
         Some(result)
     }
@@ -1406,12 +1492,11 @@ impl ServiceInner {
     }
 
     /// Puts a freshly scheduled job under deadline/drain supervision.
-    fn watch(&self, name: &str, key: CacheKey, control: &Arc<JobControl>, ticket: TicketRef) {
+    fn watch<K: JobKind>(&self, fault_key: CacheKey, control: &Arc<JobControl>, job: &Job<K>) {
         self.watched.lock().push(Watched {
-            name: name.to_string(),
-            key,
+            fault_key,
             control: Arc::clone(control),
-            ticket,
+            job: K::handle(job.clone()),
         });
     }
 
@@ -1429,34 +1514,17 @@ impl ServiceInner {
         }
         self.timed_out.fetch_add(1, Ordering::Relaxed);
         self.record_fault(
-            &watched.name,
-            watched.key,
+            watched.job.name(),
+            watched.fault_key,
             stage,
             FaultKind::Timeout,
             why.to_string(),
             watched.control.trace,
         );
-        match &watched.ticket {
-            TicketRef::App(ticket) => {
-                self.release(ticket.fulfil(Err(JobError::TimedOut)));
-                let mut registry = self.registry.lock();
-                let stale = registry.get(&watched.name).is_some_and(|entry| {
-                    entry.ticket.as_ref().is_some_and(|t| t.same(ticket))
-                });
-                if stale {
-                    registry.remove(&watched.name);
-                }
-            }
-            TicketRef::Env(ticket) => {
-                let mut in_flight = self.envs_in_flight.lock();
-                if in_flight.get(&watched.key.0).is_some_and(|(t, _)| t.same(ticket)) {
-                    in_flight.remove(&watched.key.0);
-                }
-                drop(in_flight);
-                self.release(ticket.fulfil(Err(JobError::TimedOut)));
-            }
+        match &watched.job {
+            JobHandle::App(job) => self.abandon(job, JobError::TimedOut),
+            JobHandle::Environment(job) => self.abandon(job, JobError::TimedOut),
         }
-        self.prune_watched();
         true
     }
 
@@ -1494,63 +1562,6 @@ impl ServiceInner {
         settled
     }
 
-    /// The bookkeeping half of an app-job cancellation (after
-    /// [`JobControl::cancel_stage`] won): settle the ticket, release any parked
-    /// subscribers (a dependent environment job must run to report its member
-    /// failure), and un-register the name — nothing was cached, so the name
-    /// must not promise a result.
-    fn cancel_app(&self, name: &str, ticket: &Ticket<AppResult>) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-        self.release(ticket.fulfil(Err(JobError::Cancelled)));
-        let mut registry = self.registry.lock();
-        let stale = registry
-            .get(name)
-            .is_some_and(|entry| entry.ticket.as_ref().is_some_and(|t| t.same(ticket)));
-        if stale {
-            registry.remove(name);
-        }
-    }
-
-    /// The bookkeeping half of an environment-job cancellation: leave the
-    /// in-flight map (so identical resubmissions schedule fresh), then settle.
-    fn cancel_env(&self, key: CacheKey, ticket: &Ticket<EnvResult>) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-        let mut in_flight = self.envs_in_flight.lock();
-        if in_flight.get(&key.0).is_some_and(|(t, _)| t.same(ticket)) {
-            in_flight.remove(&key.0);
-        }
-        drop(in_flight);
-        self.release(ticket.fulfil(Err(JobError::Cancelled)));
-    }
-
-    /// Settles an app stage's result unless cancellation already settled the
-    /// ticket, in which case the result is discarded (never cached).
-    fn settle_app(
-        &self,
-        control: &JobControl,
-        name: &str,
-        key: CacheKey,
-        ticket: &Ticket<AppResult>,
-        result: AppResult,
-    ) {
-        if control.mark_finished() {
-            self.finish_app(name, key, ticket, result);
-        }
-    }
-
-    /// Settles an environment result unless cancellation won the race.
-    fn settle_env(
-        &self,
-        control: &JobControl,
-        key: CacheKey,
-        ticket: &Ticket<EnvResult>,
-        result: EnvResult,
-    ) {
-        if control.mark_finished() {
-            self.finish_env(key, ticket, result);
-        }
-    }
-
     /// Enqueues every parked job whose last dependency this fulfilment resolved.
     /// Jobs carrying a cancellation control have their queue identity recorded
     /// under the control lock, so a cancel arriving after the dependencies
@@ -1572,7 +1583,7 @@ impl ServiceInner {
     /// Spawns a job's task, recording its queue identity on the control under
     /// the control lock so a cancel can revoke it — or dropping the task
     /// without consuming a queue slot when the job was already cancelled.
-    fn spawn_controlled(&self, task: crate::ticket::Task, control: &JobControl) {
+    fn spawn_controlled(&self, task: impl FnOnce() + Send + 'static, control: &JobControl) {
         let mut state = control.state.lock();
         if state.stage.is_terminal() {
             return;
@@ -1622,10 +1633,10 @@ impl ServiceInner {
 /// [`ServiceOptions::max_pending`] bounds queued-but-unstarted jobs; at the
 /// bound, submissions either wait ([`AdmissionPolicy::Block`]) or fail fast
 /// with [`ServiceError::QueueFull`] ([`AdmissionPolicy::Reject`]). In-flight
-/// jobs can be cancelled ([`AppJob::cancel`] / [`EnvJob::cancel`], or the
-/// [`CancelOnDrop`] guard): a queued stage is removed from the injector queue,
-/// a parked environment job is revoked, a running stage's result is discarded —
-/// and the ticket settles as [`JobError::Cancelled`] without caching anything.
+/// jobs can be cancelled ([`Job::cancel`], or the [`CancelOnDrop`] guard): a
+/// queued stage is removed from the injector queue, a parked environment job
+/// is revoked, a running stage's result is discarded — and the ticket settles
+/// as [`JobError::Cancelled`] without caching anything.
 /// Jobs that *do* complete remain byte-identical to the sequential path under
 /// any interleaving of cancellations (`tests/parallel_determinism.rs`).
 pub struct Service {
@@ -1754,15 +1765,15 @@ impl Service {
         self.inner.pool.workers()
     }
 
-    fn app_job(
+    fn job<K: JobKind>(
         &self,
         name: &str,
         key: CacheKey,
         disposition: CacheDisposition,
-        ticket: Ticket<AppResult>,
+        ticket: Ticket<KindResult<K>>,
         control: Option<Arc<JobControl>>,
-    ) -> AppJob {
-        AppJob {
+    ) -> Job<K> {
+        Job {
             name: name.to_string(),
             key,
             disposition,
@@ -1772,22 +1783,75 @@ impl Service {
         }
     }
 
-    fn env_job(
+    /// The one admission path behind every submission: coalesce onto an
+    /// identical in-flight job, hit the cache, or take a queue slot and
+    /// `schedule` a fresh job. `fault_key` is the quarantine address.
+    fn admit<K: JobKind>(
         &self,
-        group: &str,
+        name: &str,
         key: CacheKey,
-        disposition: CacheDisposition,
-        ticket: Ticket<EnvResult>,
-        control: Option<Arc<JobControl>>,
-    ) -> EnvJob {
-        EnvJob {
-            name: group.to_string(),
-            key,
-            disposition,
-            ticket,
-            control,
-            service: Arc::downgrade(&self.inner),
-        }
+        fault_key: CacheKey,
+        schedule: impl FnOnce(&Job<K>, Arc<JobControl>),
+    ) -> Result<Job<K>, ServiceError> {
+        let inner = &self.inner;
+        // One index lock spans the coalesce/cache/admit decision, so
+        // concurrent identical submissions cannot both schedule: the second one
+        // either coalesces onto the in-flight ticket or — since `settle`
+        // freezes the cache *before* leaving the index — hits the cache.
+        // Re-checked on every trip around the loop, since a blocked submitter
+        // may wake into a draining service.
+        let job = loop {
+            if inner.is_draining() {
+                return Err(ServiceError::Draining);
+            }
+            inner.check_quarantine(name, fault_key)?;
+            let mut index = K::index(inner).lock();
+            if let Some((ticket, control)) = K::in_flight(&index, name, key) {
+                inner.coalesced.fetch_add(1, Ordering::Relaxed);
+                soteria_obs::add(K::COALESCED, 1);
+                break self.job(name, key, CacheDisposition::Coalesced, ticket, Some(control));
+            }
+            if let Some(result) = K::cache(inner).lock().get(key) {
+                soteria_obs::add(K::HIT, 1);
+                K::enter(&mut index, name, key, None);
+                break self.job(name, key, CacheDisposition::Hit, Ticket::fulfilled(result), None);
+            }
+            // Prospective miss: the job needs a queue slot.
+            match inner.admission.try_acquire() {
+                Admit::Granted => {
+                    soteria_obs::add(K::MISS, 1);
+                    let control = JobControl::new();
+                    let job = self.job(
+                        name,
+                        key,
+                        CacheDisposition::Miss,
+                        Ticket::new(),
+                        Some(Arc::clone(&control)),
+                    );
+                    // Register before scheduling, so a fast worker's settle
+                    // cannot race ahead of the registration.
+                    let in_flight = (job.ticket.clone(), Arc::clone(&control));
+                    K::enter(&mut index, name, key, Some(in_flight));
+                    drop(index);
+                    // Under supervision before the first spawn, so no stuck job
+                    // can ever escape the deadline sweeper or a drain.
+                    inner.watch(fault_key, &control, &job);
+                    schedule(&job, control);
+                    break job;
+                }
+                Admit::Full(pending) => {
+                    drop(index);
+                    inner.admission_full(pending)?;
+                    // Re-run the whole decision: the content may have frozen
+                    // (hit) or been resubmitted (coalesce) while we waited,
+                    // and the freed slot may be taken.
+                    continue;
+                }
+            }
+        };
+        inner.submitted.fetch_add(1, Ordering::Relaxed);
+        self.submissions.lock().push(K::handle(job.clone()));
+        Ok(job)
     }
 
     /// Submits one app for analysis.
@@ -1804,89 +1868,9 @@ impl Service {
         // Fault accounting is keyed by the *source bytes alone* — a quarantined
         // input stays quarantined no matter what name it is resubmitted under.
         let fault_key = source_fingerprint(source, inner.config_fingerprint, &inner.engine_tag);
-
-        // One registry lock spans the coalesce/cache/admit decision, so
-        // concurrent identical submissions cannot both schedule: the second one
-        // either coalesces onto the in-flight ticket or — since finish_app
-        // freezes the cache *before* fulfilling — hits the cache. Re-checked on
-        // every trip around the loop, since a blocked submitter may wake into a
-        // draining service.
-        let job = loop {
-            if inner.is_draining() {
-                return Err(ServiceError::Draining);
-            }
-            inner.check_quarantine(name, fault_key)?;
-            let mut registry = inner.registry.lock();
-            let in_flight = registry.get(name).and_then(|entry| {
-                entry
-                    .ticket
-                    .as_ref()
-                    .filter(|t| entry.key == key && !t.is_ready())
-                    .map(|t| (t.clone(), entry.control.clone()))
-            });
-            if let Some((ticket, control)) = in_flight {
-                inner.coalesced.fetch_add(1, Ordering::Relaxed);
-                soteria_obs::add("cache.app.coalesced", 1);
-                break self.app_job(name, key, CacheDisposition::Coalesced, ticket, control);
-            }
-            if let Some(result) = inner.apps.lock().get(key) {
-                soteria_obs::add("cache.app.hit", 1);
-                // Frozen result: the registry needs only the key.
-                registry.insert(
-                    name.to_string(),
-                    RegistryEntry { key, ticket: None, control: None },
-                );
-                break self.app_job(
-                    name,
-                    key,
-                    CacheDisposition::Hit,
-                    Ticket::fulfilled(result),
-                    None,
-                );
-            }
-            // Prospective miss: the job needs a queue slot.
-            match inner.admission.try_acquire() {
-                Admit::Granted => {
-                    soteria_obs::add("cache.app.miss", 1);
-                    let ticket = Ticket::new();
-                    let control = JobControl::new();
-                    // Register before scheduling, so a fast worker's completion
-                    // downgrade cannot race ahead of the registration.
-                    registry.insert(
-                        name.to_string(),
-                        RegistryEntry {
-                            key,
-                            ticket: Some(ticket.clone()),
-                            control: Some(Arc::clone(&control)),
-                        },
-                    );
-                    drop(registry);
-                    // Under supervision before the first spawn, so no stuck job
-                    // can ever escape the deadline sweeper or a drain.
-                    inner.watch(name, fault_key, &control, TicketRef::App(ticket.clone()));
-                    self.schedule_app(
-                        key,
-                        fault_key,
-                        name.to_string(),
-                        source.to_string(),
-                        ticket.clone(),
-                        Arc::clone(&control),
-                    );
-                    break self.app_job(name, key, CacheDisposition::Miss, ticket, Some(control));
-                }
-                Admit::Full(pending) => {
-                    drop(registry);
-                    inner.admission_full(pending)?;
-                    // Re-run the whole decision: the content may have frozen
-                    // (hit) or been resubmitted (coalesce) while we waited,
-                    // and the freed slot may be taken.
-                    continue;
-                }
-            }
-        };
-        inner.submitted.fetch_add(1, Ordering::Relaxed);
-        self.submissions.lock().push(JobHandle::App(job.clone()));
-        Ok(job)
+        self.admit(name, key, fault_key, |job, control| {
+            self.schedule_app(job, control, fault_key, source.to_string())
+        })
     }
 
     /// Enqueues the two-stage app pipeline: an ingest task that, on success,
@@ -1895,17 +1879,16 @@ impl Service {
     /// either revokes the queued stage or is observed before the next spawn.
     fn schedule_app(
         &self,
-        key: CacheKey,
-        fault_key: CacheKey,
-        name: String,
-        source: String,
-        ticket: Ticket<AppResult>,
+        job: &AppJob,
         control: Arc<JobControl>,
+        fault_key: CacheKey,
+        source: String,
     ) {
         let inner = Arc::clone(&self.inner);
-        let task_control = Arc::clone(&control);
-        let task = move || {
-            if !task_control.begin_stage(&inner.admission) {
+        let (job, task_control) = (job.clone(), Arc::clone(&control));
+        let ingest = move || {
+            let control = task_control;
+            if !control.begin_stage(&inner.admission) {
                 return; // cancelled while queued; the ticket is already settled
             }
             let _stage = soteria_obs::span("stage.ingest");
@@ -1914,125 +1897,52 @@ impl Service {
             // quarantines and recomputes) falls through to the normal
             // pipeline. Chaos markers are unaffected: a source that panics at
             // ingest never produced a record to restore.
-            if let Some(analysis) = inner.restore_app_from_disk(key) {
-                inner.settle_app(&task_control, &name, key, &ticket, Ok(analysis));
+            if let Some(analysis) = inner.restore_app_from_disk(job.key) {
+                inner.settle(&control, &job, Ok(analysis));
                 return;
             }
-            // Panics are job failures, not worker deaths: an unfulfilled ticket
-            // would wedge drain() and every later serve response forever. The
-            // job's abort handle is installed around the stage body so the
-            // engine hot loops (and scoped helper threads) can poll it.
-            let ingested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                soteria_exec::with_abort(Some(task_control.abort.clone()), || {
-                    inner.chaos(&source);
-                    inner.soteria.ingest_app(&name, &source)
-                })
-            }));
-            match ingested {
-                Err(payload) => {
-                    // NB: `&payload` would coerce the *Box* to `&dyn Any`.
-                    if soteria_exec::is_abort_payload(payload.as_ref()) {
-                        return; // cancel/timeout settled the ticket already
-                    }
-                    let message = panic_message(payload);
-                    inner.record_fault(
-                        &name,
-                        fault_key,
-                        "ingest",
-                        FaultKind::Panic,
-                        message.clone(),
-                        task_control.trace,
-                    );
-                    inner.settle_app(
-                        &task_control,
-                        &name,
-                        key,
-                        &ticket,
-                        Err(JobError::Internal(message)),
-                    );
+            let ingested = inner.run_stage(&control, &job.name, fault_key, "ingest", || {
+                inner.chaos(&source);
+                inner.soteria.ingest_app(&job.name, &source)
+            });
+            let ingested = match ingested {
+                None => return, // aborted: cancel/timeout settled the ticket already
+                Some(Ok(Ok(ingested))) => ingested,
+                Some(Ok(Err(e))) => return inner.settle(&control, &job, Err(JobError::Parse(e))),
+                Some(Err(fault)) => return inner.settle(&control, &job, Err(fault)),
+            };
+            // Stage 2 re-enters the queue so the worker is free to ingest the
+            // next submission before (or while) this one verifies. Spawned
+            // under the control lock: a cancelled ingest must not leave an
+            // orphaned (unrevocable) verify stage behind.
+            let (verify_inner, verify_control) = (Arc::clone(&inner), Arc::clone(&control));
+            let verify = move || {
+                let (inner, control) = (verify_inner, verify_control);
+                if !control.begin_stage(&inner.admission) {
+                    return;
                 }
-                Ok(Err(e)) => {
-                    inner.settle_app(&task_control, &name, key, &ticket, Err(JobError::Parse(e)));
-                }
-                Ok(Ok(ingested)) => {
-                    // Stage 2 re-enters the queue so the worker is free to ingest
-                    // the next submission before (or while) this one verifies.
-                    // Spawned under the control lock: a cancelled ingest must not
-                    // leave an orphaned (unrevocable) verify stage behind.
-                    let mut state = task_control.state.lock();
-                    if state.stage.is_terminal() {
-                        return; // ticket settled by the cancel/timeout path
-                    }
-                    let verify_inner = Arc::clone(&inner);
-                    let verify_control = Arc::clone(&task_control);
-                    let verify_ticket = ticket.clone();
-                    let verify_name = name.clone();
-                    let verify_source = source;
-                    let id = soteria_obs::with_trace(task_control.trace, || {
-                        inner.pool.spawn(move || {
-                        if !verify_control.begin_stage(&verify_inner.admission) {
-                            return;
-                        }
-                        let _stage = soteria_obs::span("stage.verify");
-                        let analysis = std::panic::catch_unwind(
-                            std::panic::AssertUnwindSafe(|| {
-                                soteria_exec::with_abort(
-                                    Some(verify_control.abort.clone()),
-                                    || verify_inner.soteria.verify_app(ingested),
-                                )
-                            }),
-                        );
-                        let result = match analysis {
-                            Ok(analysis) => {
-                                // Write-through before settling: even an
-                                // unclean death right after the response
-                                // leaves the result durably restorable.
-                                verify_inner.persist_app(
-                                    key,
-                                    &verify_name,
-                                    &verify_source,
-                                    &analysis,
-                                );
-                                Ok(Arc::new(analysis))
-                            }
-                            Err(payload) => {
-                                if soteria_exec::is_abort_payload(payload.as_ref()) {
-                                    return;
-                                }
-                                let message = panic_message(payload);
-                                verify_inner.record_fault(
-                                    &verify_name,
-                                    fault_key,
-                                    "verify",
-                                    FaultKind::Panic,
-                                    message.clone(),
-                                    verify_control.trace,
-                                );
-                                Err(JobError::Internal(message))
-                            }
-                        };
-                        verify_inner.settle_app(
-                            &verify_control,
-                            &verify_name,
-                            key,
-                            &verify_ticket,
-                            result,
-                        );
-                        })
+                let _stage = soteria_obs::span("stage.verify");
+                let verified = inner.run_stage(&control, &job.name, fault_key, "verify", || {
+                    inner.soteria.verify_app(ingested)
+                });
+                let Some(result) = verified else { return };
+                let result = result.map(|analysis| {
+                    // Write-through before settling: even an unclean death
+                    // right after the response leaves the result durably
+                    // restorable.
+                    inner.persist(StoreBucket::Apps, job.key, || {
+                        soteria::app_store_json(&job.name, &source, &analysis)
                     });
-                    state.stage = Stage::Queued(id);
-                }
-            }
+                    Arc::new(analysis)
+                });
+                inner.settle(&control, &job, result);
+            };
+            inner.spawn_controlled(verify, &control);
         };
         // Same spawn-under-the-lock discipline for the first stage, so the
         // Queued(TaskId) registration cannot race a cancel from a coalesced
         // handle (or a timeout from the deadline sweeper).
-        let mut state = control.state.lock();
-        if state.stage.is_terminal() {
-            return;
-        }
-        let id = soteria_obs::with_trace(control.trace, || self.inner.pool.spawn(task));
-        state.stage = Stage::Queued(id);
+        self.inner.spawn_controlled(ingest, &control);
     }
 
     /// Submits a multi-app environment over previously submitted app jobs. The
@@ -2047,59 +1957,10 @@ impl Service {
         let member_keys: Vec<CacheKey> = members.iter().map(|m| m.key).collect();
         let key =
             env_cache_key(group, &member_keys, inner.config_fingerprint, &inner.engine_tag);
-
-        // One in-flight-map lock spans the decision (mirroring submit_app), so
-        // identical concurrent environment submissions coalesce onto one union
-        // computation instead of both scheduling.
-        let job = loop {
-            if inner.is_draining() {
-                return Err(ServiceError::Draining);
-            }
-            inner.check_quarantine(group, key)?;
-            let mut in_flight = inner.envs_in_flight.lock();
-            if let Some((ticket, control)) = in_flight.get(&key.0) {
-                inner.coalesced.fetch_add(1, Ordering::Relaxed);
-                soteria_obs::add("cache.env.coalesced", 1);
-                let (ticket, control) = (ticket.clone(), Arc::clone(control));
-                break self.env_job(group, key, CacheDisposition::Coalesced, ticket, Some(control));
-            }
-            if let Some(result) = inner.envs.lock().get(key) {
-                soteria_obs::add("cache.env.hit", 1);
-                break self.env_job(
-                    group,
-                    key,
-                    CacheDisposition::Hit,
-                    Ticket::fulfilled(result),
-                    None,
-                );
-            }
-            match inner.admission.try_acquire() {
-                Admit::Granted => {
-                    soteria_obs::add("cache.env.miss", 1);
-                    let ticket = Ticket::new();
-                    let control = JobControl::new();
-                    in_flight.insert(key.0, (ticket.clone(), Arc::clone(&control)));
-                    drop(in_flight);
-                    inner.watch(group, key, &control, TicketRef::Env(ticket.clone()));
-                    self.schedule_environment(
-                        key,
-                        group.to_string(),
-                        members,
-                        ticket.clone(),
-                        Arc::clone(&control),
-                    );
-                    break self.env_job(group, key, CacheDisposition::Miss, ticket, Some(control));
-                }
-                Admit::Full(pending) => {
-                    drop(in_flight);
-                    inner.admission_full(pending)?;
-                    continue;
-                }
-            }
-        };
-        inner.submitted.fetch_add(1, Ordering::Relaxed);
-        self.submissions.lock().push(JobHandle::Environment(job.clone()));
-        Ok(job)
+        // Membership is an environment's content: its key is its fault key.
+        self.admit(group, key, key, |job, control| {
+            self.schedule_environment(job, control, members)
+        })
     }
 
     /// Submits an environment whose members are named app jobs already submitted
@@ -2112,21 +1973,38 @@ impl Service {
         group: &str,
         members: &[&str],
     ) -> Result<EnvJob, ServiceError> {
+        let members = self.resolve_members(members, None)?;
+        self.submit_environment(group, &members)
+    }
+
+    /// Resolves environment member names to member handles: an in-flight
+    /// member shares its ticket, a frozen one is rebuilt from the cache (or
+    /// promoted from the disk tier), and `edited` stands in for its own name.
+    /// Fails on the first member that is unknown or no longer resolvable.
+    fn resolve_members(
+        &self,
+        members: &[impl AsRef<str>],
+        edited: Option<&AppJob>,
+    ) -> Result<Vec<AppJob>, ServiceError> {
         // Snapshot the registry first, then resolve frozen results without the
         // lock — a disk-tier promotion re-enters the registry to demote.
-        let resolved: Vec<(String, CacheKey, Option<Ticket<AppResult>>)> = {
+        let snapshot: Vec<(&str, CacheKey, Option<Ticket<AppResult>>)> = {
             let registry = self.inner.registry.lock();
             members
                 .iter()
-                .map(|&member| {
+                .map(|member| {
+                    let member = member.as_ref();
+                    if let Some(app) = edited.filter(|app| app.name == member) {
+                        return Ok((member, app.key, Some(app.ticket.clone())));
+                    }
                     let entry = registry
                         .get(member)
                         .ok_or_else(|| ServiceError::UnknownMember(member.to_string()))?;
-                    Ok((member.to_string(), entry.key, entry.ticket.clone()))
+                    Ok((member, entry.key, entry.in_flight.as_ref().map(|(t, _)| t.clone())))
                 })
                 .collect::<Result<_, ServiceError>>()?
         };
-        let member_jobs: Vec<AppJob> = resolved
+        snapshot
             .into_iter()
             .map(|(member, key, ticket)| {
                 let ticket = match ticket {
@@ -2140,21 +2018,15 @@ impl Service {
                         let cached = self.inner.apps.lock().get(key);
                         let result = cached
                             .or_else(|| self.inner.promote_app_from_disk(key))
-                            .ok_or_else(|| ServiceError::EvictedMember(member.clone()))?;
+                            .ok_or_else(|| ServiceError::EvictedMember(member.to_string()))?;
                         Ticket::fulfilled(result)
                     }
                 };
-                Ok(AppJob {
-                    name: member,
-                    key,
-                    disposition: CacheDisposition::Hit, // unused for members
-                    ticket,
-                    control: None, // members are not cancellable through the env
-                    service: Arc::downgrade(&self.inner),
-                })
+                // Members are not cancellable through the environment, and
+                // their disposition is unused.
+                Ok(self.job(member, key, CacheDisposition::Hit, ticket, None))
             })
-            .collect::<Result<_, ServiceError>>()?;
-        self.submit_environment(group, &member_jobs)
+            .collect()
     }
 
     /// Resubmits an edited app source and re-verifies every resident
@@ -2187,61 +2059,10 @@ impl Service {
         groups.sort();
         let mut envs = Vec::with_capacity(groups.len());
         for (group, member_names) in groups {
-            // Same resolution as submit_environment_by_names — snapshot the
-            // registry, then resolve (with the disk-tier fallback) unlocked —
-            // except an unresolvable member skips the group instead of failing.
-            // name, key, and the frozen ticket (None = the edited app itself).
-            type ResolvedMember = (String, CacheKey, Option<Ticket<AppResult>>);
-            let plan: Option<Vec<ResolvedMember>> = {
-                let registry = self.inner.registry.lock();
-                member_names
-                    .iter()
-                    .map(|member| {
-                        if member == name {
-                            return Some((member.clone(), app.key, None));
-                        }
-                        registry
-                            .get(member)
-                            .map(|entry| (member.clone(), entry.key, entry.ticket.clone()))
-                    })
-                    .collect()
-            };
-            let Some(plan) = plan else { continue };
-            let mut member_jobs = Vec::with_capacity(plan.len());
-            let mut resolvable = true;
-            for (member, key, ticket) in plan {
-                if member == name {
-                    member_jobs.push(app.clone());
-                    continue;
-                }
-                let ticket = match ticket {
-                    Some(ticket) => ticket,
-                    None => {
-                        // Guard dropped before the promotion re-locks the
-                        // cache (see submit_environment_by_names).
-                        let cached = self.inner.apps.lock().get(key);
-                        let frozen =
-                            cached.or_else(|| self.inner.promote_app_from_disk(key));
-                        match frozen {
-                            Some(result) => Ticket::fulfilled(result),
-                            None => {
-                                resolvable = false;
-                                break;
-                            }
-                        }
-                    }
-                };
-                member_jobs.push(AppJob {
-                    name: member,
-                    key,
-                    disposition: CacheDisposition::Hit, // unused for members
-                    ticket,
-                    control: None,
-                    service: Arc::downgrade(&self.inner),
-                });
-            }
-            if resolvable {
-                envs.push(self.submit_environment(&group, &member_jobs)?);
+            // Unlike submit_environment_by_names, an unresolvable member skips
+            // the group instead of failing the update.
+            if let Ok(members) = self.resolve_members(&member_names, Some(&app)) {
+                envs.push(self.submit_environment(&group, &members)?);
             }
         }
         Ok((app, envs))
@@ -2249,43 +2070,30 @@ impl Service {
 
     /// Parks the environment job behind its member tickets and enqueues it once
     /// the last one resolves (immediately, if all are already frozen).
-    fn schedule_environment(
-        &self,
-        key: CacheKey,
-        group: String,
-        members: &[AppJob],
-        ticket: Ticket<EnvResult>,
-        control: Arc<JobControl>,
-    ) {
+    fn schedule_environment(&self, job: &EnvJob, control: Arc<JobControl>, members: &[AppJob]) {
         let inner = Arc::clone(&self.inner);
-        let member_handles: Vec<(String, CacheKey, Ticket<AppResult>)> = members
-            .iter()
-            .map(|m| (m.name.clone(), m.key, m.ticket.clone()))
-            .collect();
-        let member_tickets: Vec<Ticket<AppResult>> =
-            member_handles.iter().map(|(_, _, t)| t.clone()).collect();
-        let task_control = Arc::clone(&control);
+        let (job, task_control) = (job.clone(), Arc::clone(&control));
+        let member_jobs = members.to_vec();
         let task = Box::new(move || {
-            if !task_control.begin_stage(&inner.admission) {
+            let (control, members) = (task_control, member_jobs);
+            if !control.begin_stage(&inner.admission) {
                 return; // cancelled while parked or queued
             }
             let _stage = soteria_obs::span("stage.environment");
-            let mut analyses: Vec<Arc<AppAnalysis>> =
-                Vec::with_capacity(member_handles.len());
-            for (member, _, member_ticket) in &member_handles {
+            let mut analyses: Vec<Arc<AppAnalysis>> = Vec::with_capacity(members.len());
+            for member in &members {
                 // Dependencies resolved before this task was enqueued, so the
                 // wait is a lock-and-read, never a block. A cancelled member
                 // reads Err(Cancelled) here, failing the environment
                 // deterministically on the first failed member in member order.
-                match member_ticket.wait() {
+                match member.wait() {
                     Ok(analysis) => analyses.push(analysis),
                     Err(_) => {
                         let error = JobError::MemberFailed {
-                            group: group.clone(),
-                            member: member.clone(),
+                            group: job.name.clone(),
+                            member: member.name.clone(),
                         };
-                        inner.settle_env(&task_control, key, &ticket, Err(error));
-                        return;
+                        return inner.settle(&control, &job, Err(error));
                     }
                 }
             }
@@ -2295,9 +2103,8 @@ impl Service {
             // incremental base is retained for a restored run — the first
             // *edited* resubmission after a warm start runs cold, then
             // re-seeds the base. Damage quarantines and falls through.
-            if let Some(env) = inner.restore_env_from_disk(key, &group, &analyses) {
-                inner.settle_env(&task_control, key, &ticket, Ok(env));
-                return;
+            if let Some(env) = inner.restore_env_from_disk(job.key, &job.name, &analyses) {
+                return inner.settle(&control, &job, Ok(env));
             }
             // Incremental base: the last successful run of this group name with
             // the same members in order and exactly one member key differing.
@@ -2306,21 +2113,18 @@ impl Service {
             // sat-set projection rely on.
             let base = {
                 let bases = inner.env_bases.lock();
-                bases.get(&group).and_then(|b| {
-                    if b.member_names.len() != member_handles.len()
-                        || b.member_names
-                            .iter()
-                            .zip(&member_handles)
-                            .any(|(n, (m, _, _))| n != m)
+                bases.get(&job.name).and_then(|b| {
+                    if b.member_names.len() != members.len()
+                        || b.member_names.iter().zip(&members).any(|(n, m)| *n != m.name)
                     {
                         return None;
                     }
                     let mut changed = b
                         .member_keys
                         .iter()
-                        .zip(&member_handles)
+                        .zip(&members)
                         .enumerate()
-                        .filter(|(_, (k, (_, mk, _)))| *k != mk);
+                        .filter(|(_, (k, m))| **k != m.key);
                     match (changed.next(), changed.next()) {
                         (Some((idx, _)), None) => Some((
                             Arc::clone(&b.analysis),
@@ -2336,85 +2140,68 @@ impl Service {
                 soteria_obs::add("env.incremental", 1);
             }
             // Members stay behind their frozen Arcs — no per-job deep copies.
-            let env = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                soteria_exec::with_abort(Some(task_control.abort.clone()), || {
-                    let refs: Vec<&AppAnalysis> =
-                        analyses.iter().map(Arc::as_ref).collect();
-                    match &base {
-                        Some((analysis, snapshot, changed)) => inner
-                            .soteria
-                            .analyze_environment_incremental(
-                                &group, &refs, analysis, snapshot, *changed,
-                            ),
-                        None => inner
-                            .soteria
-                            .analyze_environment_with_snapshot(&group, &refs),
-                    }
-                })
-            }));
-            let result = match env {
-                Ok((env, snapshot)) => {
-                    let env = Arc::new(env);
-                    // Retain this run as the next incremental base (before the
-                    // settle, so a resubmit racing the fulfilment never reads a
-                    // base staler than the result it just observed).
-                    if let Some(snapshot) = snapshot {
-                        inner.env_bases.lock().insert(
-                            group.clone(),
-                            EnvBase {
-                                member_names: member_handles
-                                    .iter()
-                                    .map(|(n, _, _)| n.clone())
-                                    .collect(),
-                                member_keys: member_handles
-                                    .iter()
-                                    .map(|(_, k, _)| *k)
-                                    .collect(),
-                                analysis: Arc::clone(&env),
-                                snapshot: Arc::new(snapshot),
-                            },
-                        );
-                    }
-                    // Write-through before settling (see `persist_app`).
-                    inner.persist_env(key, &env);
-                    Ok(env)
+            let env = inner.run_stage(&control, &job.name, job.key, "environment", || {
+                let refs: Vec<&AppAnalysis> = analyses.iter().map(Arc::as_ref).collect();
+                match &base {
+                    Some((analysis, snapshot, changed)) => inner
+                        .soteria
+                        .analyze_environment_incremental(
+                            &job.name, &refs, analysis, snapshot, *changed,
+                        ),
+                    None => inner.soteria.analyze_environment_with_snapshot(&job.name, &refs),
                 }
-                Err(payload) => {
-                    if soteria_exec::is_abort_payload(payload.as_ref()) {
-                        return;
-                    }
-                    let message = panic_message(payload);
-                    inner.record_fault(
-                        &group,
-                        key,
-                        "environment",
-                        FaultKind::Panic,
-                        message.clone(),
-                        task_control.trace,
+            });
+            let Some(env) = env else { return };
+            let result = env.map(|(env, snapshot)| {
+                let env = Arc::new(env);
+                // Retain this run as the next incremental base (before the
+                // settle, so a resubmit racing the fulfilment never reads a
+                // base staler than the result it just observed).
+                if let Some(snapshot) = snapshot {
+                    inner.env_bases.lock().insert(
+                        job.name.clone(),
+                        EnvBase {
+                            member_names: members.iter().map(|m| m.name.clone()).collect(),
+                            member_keys: members.iter().map(|m| m.key).collect(),
+                            analysis: Arc::clone(&env),
+                            snapshot: Arc::new(snapshot),
+                        },
                     );
-                    Err(JobError::Internal(message))
                 }
-            };
-            inner.settle_env(&task_control, key, &ticket, result);
+                // Write-through before settling (see `persist`). The payload
+                // embeds its own content address: unlike an app record —
+                // whose key is recomputable from the stored name and source —
+                // an environment's key derives from its member *app keys*,
+                // which the record does not carry, so the embedded copy is
+                // what ties the payload to its filename on restore.
+                inner.persist(StoreBucket::Envs, job.key, || {
+                    JsonValue::object([
+                        ("env_key", JsonValue::string(job.key.to_string())),
+                        ("record", soteria::env_store_json(&env)),
+                    ])
+                });
+                env
+            });
+            inner.settle(&control, &job, result);
         });
-        let job = PendingJob::new(task, Some(Arc::downgrade(&control)));
+        let parked = PendingJob::new(task, Some(Arc::downgrade(&control)));
         {
             // Attach the parked job to the control so a cancel can revoke it; a
             // cancel (or timeout) that already won revokes it right here instead.
             let mut state = control.state.lock();
             if state.stage.is_terminal() {
-                job.revoke();
+                parked.revoke();
             } else {
-                state.parked = Some(Arc::clone(&job));
+                state.parked = Some(Arc::clone(&parked));
             }
         }
-        for member_ticket in &member_tickets {
-            member_ticket.subscribe(&job);
+        for member in members {
+            member.ticket.subscribe(&parked);
         }
         // Drop the creation guard; if every member was already frozen this
         // enqueues the task right here — through the same registration
         // discipline as release(), so the queued stage stays revocable.
-        if let Some(task) = job.dep_ready() {
+        if let Some(task) = parked.dep_ready() {
             self.inner.spawn_controlled(task, &control);
         }
     }
@@ -2479,17 +2266,9 @@ impl Service {
                 break;
             }
             for watched in &snapshot {
-                let settled = match (&watched.ticket, cutoff) {
-                    (TicketRef::App(t), Some(cutoff)) => t.wait_deadline(cutoff).is_some(),
-                    (TicketRef::Env(t), Some(cutoff)) => t.wait_deadline(cutoff).is_some(),
-                    (TicketRef::App(t), None) => {
-                        let _ = t.wait();
-                        true
-                    }
-                    (TicketRef::Env(t), None) => {
-                        let _ = t.wait();
-                        true
-                    }
+                let settled = match &watched.job {
+                    JobHandle::App(job) => job.wait_until(cutoff),
+                    JobHandle::Environment(job) => job.wait_until(cutoff),
                 };
                 if !settled {
                     self.inner.timeout_watched(watched, "drain", "drain deadline exceeded");
@@ -2587,13 +2366,10 @@ impl Drop for Service {
         let snapshot: Vec<Watched> =
             std::mem::take(self.inner.watched.lock().as_mut());
         for watched in &snapshot {
-            if !watched.control.cancel_stage(&self.inner) {
-                continue;
-            }
-            match &watched.ticket {
-                TicketRef::App(ticket) => self.inner.cancel_app(&watched.name, ticket),
-                TicketRef::Env(ticket) => self.inner.cancel_env(watched.key, ticket),
-            }
+            match &watched.job {
+                JobHandle::App(job) => job.cancel(),
+                JobHandle::Environment(job) => job.cancel(),
+            };
         }
     }
 }

@@ -237,3 +237,23 @@ fn registry_never_outgrows_live_tickets_plus_cache_capacity() {
     assert_eq!(stats.app_cache.entries, cache_capacity);
     assert!(stats.app_cache.evictions >= 8);
 }
+
+/// A cancelled environment leaves the in-flight index and caches nothing:
+/// resubmitting the same group over the same members is a fresh Miss (not a
+/// coalesce onto the dead ticket) that completes normally.
+#[test]
+fn cancelled_environment_resubmits_as_a_fresh_miss() {
+    let service = service(ServiceOptions { workers: 1, ..ServiceOptions::default() });
+    service.submit_app("heavy", &heavy_source()).expect("admitted");
+    wait_until("heavy ingest to start", || service.pending_jobs() == 0);
+    let g1 = service.submit_environment_by_names("G1", &["heavy"]).expect("parks");
+    assert_eq!(g1.disposition(), CacheDisposition::Miss);
+    assert!(g1.cancel(), "parked environment not cancellable");
+    assert!(matches!(g1.wait(), Err(JobError::Cancelled)));
+
+    let again = service.submit_environment_by_names("G1", &["heavy"]).expect("admitted");
+    assert_eq!(again.key(), g1.key(), "same group over the same members");
+    assert_eq!(again.disposition(), CacheDisposition::Miss, "cancelled environment reused");
+    again.wait().expect("resubmitted environment completes");
+    assert_eq!(service.stats().cancelled, 1);
+}

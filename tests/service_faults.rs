@@ -14,7 +14,8 @@
 use soteria::Soteria;
 use soteria_analysis::AnalysisConfig;
 use soteria_service::{
-    AdmissionPolicy, FaultKind, JobError, Service, ServiceError, ServiceOptions,
+    AdmissionPolicy, CacheDisposition, FaultKind, JobError, Service, ServiceError,
+    ServiceOptions,
 };
 use std::time::{Duration, Instant};
 
@@ -172,6 +173,29 @@ fn pending_deadline_times_out_jobs_stuck_behind_a_wedged_worker() {
     // aborts the stall in-stage and the queue empties.
     assert!(wedged.cancel(), "running stall not cancellable");
     assert!(matches!(wedged.wait(), Err(JobError::Cancelled)));
+    wait_until("queue to empty", || service.pending_jobs() == 0);
+}
+
+/// A parked environment that timed out leaves the in-flight index: the same
+/// group over the same (still wedged) member resubmits as a fresh Miss, not a
+/// coalesce onto the timed-out ticket.
+#[test]
+fn timed_out_environment_resubmits_as_a_fresh_miss() {
+    let service = service(ServiceOptions {
+        stall_marker: Some("stall-marker".into()),
+        pending_deadline: Some(Duration::from_millis(300)),
+        ..pinned()
+    });
+    let wedged = service.submit_app("wedged", MARKED).expect("admitted");
+    wait_until("the stall to claim the worker", || service.pending_jobs() == 0);
+    let parked = service.submit_environment_by_names("G", &["wedged"]).expect("member known");
+    assert!(matches!(parked.wait(), Err(JobError::TimedOut)), "parked env did not time out");
+
+    let again = service.submit_environment_by_names("G", &["wedged"]).expect("admitted");
+    assert_eq!(again.key(), parked.key(), "same group over the same member");
+    assert_eq!(again.disposition(), CacheDisposition::Miss, "timed-out environment reused");
+    assert!(wedged.cancel(), "running stall not cancellable");
+    assert!(again.wait().is_err(), "an environment over a cancelled member cannot succeed");
     wait_until("queue to empty", || service.pending_jobs() == 0);
 }
 
