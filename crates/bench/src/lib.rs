@@ -1,45 +1,21 @@
-//! Benchmark harness for the Soteria reproduction.
+//! Paper-reproduction helpers for the Soteria reproduction.
 //!
-//! The library exposes helpers shared by the Criterion benches and by the
-//! table/figure-reproduction binaries (`table2_dataset`, `table3_individual`,
-//! `table4_multiapp`, `maliot_results`, `fig11_state_reduction`,
-//! `fig11_extraction_time`). Each binary regenerates one table or figure of the
-//! paper's evaluation (Sec. 6); EXPERIMENTS.md records the paper-reported values next
-//! to the values measured here.
+//! The library exposes the corpus-sweep helpers shared by the integration
+//! tests, the examples, and the table/figure-reproduction binaries
+//! (`table2_dataset`, `table3_individual`, `table4_multiapp`,
+//! `maliot_results`, `fig11_state_reduction`, `fig11_extraction_time`). Each
+//! binary regenerates one table or figure of the paper's evaluation (Sec. 6);
+//! the corpus ground truth in `soteria-corpus` records the paper-reported
+//! verdicts they are compared against. Performance is measured by the
+//! repository benchmark, `python3 perfbench/run.py`, not here.
 
+use soteria::analysis::AnalysisConfig;
+use soteria::properties::Violation;
 use soteria::{
-    default_initial_kripke, render_environment_report, render_report, AppAnalysis,
-    EnvironmentAnalysis, Soteria,
+    render_environment_report, render_report, AppAnalysis, EnvironmentAnalysis, Soteria,
 };
-use soteria_analysis::AnalysisConfig;
-use soteria_checker::{Ctl, Kripke};
-use soteria_corpus::{all_market_apps, maliot_groups, market_groups, CorpusApp};
-use soteria_properties::Violation;
-use soteria_model::{union_models, StateModel, UnionOptions};
-use soteria_properties::{applicable_properties, formula, AppUnderTest, DeviceContext};
-use std::time::{Duration, Instant};
-
-/// Mean wall-clock time of `f` over enough iterations to exceed ~200ms of work,
-/// capped at `max_iters`. Shared by the before/after measurement binaries so both
-/// `BENCH_pr*.json` files come from the same timing loop; pick a cap high enough
-/// that the budget — not the cap — ends the loop for your workload scale
-/// (model construction is ms-scale, property sweeps can be nanoseconds).
-pub fn measure_mean<R>(mut f: impl FnMut() -> R, max_iters: usize) -> (Duration, usize) {
-    std::hint::black_box(f());
-    let budget = Duration::from_millis(200);
-    let mut total = Duration::ZERO;
-    let mut iters = 0usize;
-    while total < budget || iters < 5 {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        total += start.elapsed();
-        iters += 1;
-        if iters >= max_iters {
-            break;
-        }
-    }
-    (total / iters as u32, iters)
-}
+use soteria_corpus::{maliot_groups, market_groups, CorpusApp};
+use std::time::Duration;
 
 /// Analyses every app of a corpus slice, panicking on parse errors (corpus sources are
 /// under our control). Runs through the batch [`Soteria::analyze_apps`] API, so the
@@ -111,8 +87,8 @@ pub fn analyze_groups(
 }
 
 /// An analyzer with the paper's configuration at an explicit worker count (`0` =
-/// auto). Used by the thread-scaling bin and the determinism tests so both pin
-/// thread counts the same way.
+/// auto). Used by the determinism tests so every suite pins thread counts the
+/// same way.
 pub fn soteria_with_threads(threads: usize) -> Soteria {
     Soteria::with_config(AnalysisConfig { threads, ..AnalysisConfig::paper() })
 }
@@ -159,8 +135,8 @@ pub fn submit_environment_admitted(
 /// Submits a whole corpus workload to the analysis service — every app, then
 /// every multi-app group over the submitted names (group jobs park on their
 /// member tickets) — and drains the results in submission order. The service
-/// twin of [`corpus_sweep`], shared by the `service_throughput` bin and the
-/// determinism tests. Submissions retry through the admission bound, so the
+/// twin of [`corpus_sweep`], shared by the determinism, observability and
+/// persistent-store tests. Submissions retry through the admission bound, so the
 /// sweep also works against a small rejecting queue; panics on a group member
 /// missing from the submission set.
 pub fn service_corpus_sweep(
@@ -228,9 +204,8 @@ pub fn stable_app_report(analysis: &AppAnalysis) -> String {
 
 /// Everything a corpus sweep produces that must be independent of the thread
 /// count: per-app and per-group violation lists (content *and* order) and the
-/// rendered reports. Compared wholesale by the `parallel_scaling` gate; the
-/// determinism tests assert the same fields piecewise for better failure
-/// messages.
+/// rendered reports. The determinism and observability tests compare it
+/// field by field for better failure messages.
 #[derive(PartialEq)]
 pub struct SweepOutcome {
     /// Per-app violation lists, in corpus order.
@@ -251,90 +226,6 @@ pub fn sweep_outcome(apps: &[AppAnalysis], envs: &[EnvironmentAnalysis]) -> Swee
         app_reports: apps.iter().map(stable_app_report).collect(),
         env_reports: envs.iter().map(render_environment_report).collect(),
     }
-}
-
-/// A full-property-sweep verification workload: one Kripke structure plus every
-/// applicable non-trivial P.1–P.30 formula for the devices involved. This is exactly
-/// what the analyzer's `check_specific_on_model` loop runs per model.
-pub struct VerificationWorkload {
-    /// Workload name (app or group id).
-    pub name: String,
-    /// The default-initial Kripke structure of the (union) model.
-    pub kripke: Kripke,
-    /// Applicable P.1–P.30 formulas, `Ctl::True` placeholders dropped.
-    pub formulas: Vec<Ctl>,
-}
-
-/// The applicable non-trivial P.1–P.30 formulas of a device context.
-pub fn property_sweep_formulas(ctx: &DeviceContext) -> Vec<Ctl> {
-    applicable_properties(ctx)
-        .into_iter()
-        .filter_map(|id| formula(id, ctx))
-        .filter(|f| *f != Ctl::True)
-        .collect()
-}
-
-/// Builds the verification workload of a single analysed app.
-pub fn app_workload(analysis: &AppAnalysis) -> VerificationWorkload {
-    let under_test = AppUnderTest {
-        name: &analysis.ir.name,
-        ir: &analysis.ir,
-        specs: &analysis.specs,
-        summaries: &analysis.summaries,
-    };
-    let ctx = DeviceContext::from_apps(&[under_test]);
-    VerificationWorkload {
-        name: analysis.ir.name.clone(),
-        kripke: default_initial_kripke(&analysis.model),
-        formulas: property_sweep_formulas(&ctx),
-    }
-}
-
-/// Builds the verification workload of an app group: the union model's Kripke
-/// structure and the formulas applicable to the combined devices.
-pub fn group_workload(name: &str, analyses: &[AppAnalysis]) -> VerificationWorkload {
-    let under_test: Vec<AppUnderTest<'_>> = analyses
-        .iter()
-        .map(|a| AppUnderTest {
-            name: &a.ir.name,
-            ir: &a.ir,
-            specs: &a.specs,
-            summaries: &a.summaries,
-        })
-        .collect();
-    let ctx = DeviceContext::from_apps(&under_test);
-    let models: Vec<&StateModel> = analyses.iter().map(|a| &a.model).collect();
-    let union = union_models(name, &models, &UnionOptions::default());
-    VerificationWorkload {
-        name: name.to_string(),
-        kripke: default_initial_kripke(&union),
-        formulas: property_sweep_formulas(&ctx),
-    }
-}
-
-/// Analyses the market corpus and builds one verification workload per interaction
-/// group G.1–G.3 (`workload.name` is the group id). Shared by the Criterion sweep
-/// bench and the `verification_old_vs_new` gate so both drive identical workloads.
-pub fn market_group_workloads(soteria: &Soteria) -> Vec<VerificationWorkload> {
-    let market = all_market_apps();
-    let analyses = analyze_all(soteria, &market);
-    market_groups()
-        .iter()
-        .map(|g| {
-            let members: Vec<AppAnalysis> = g
-                .members
-                .iter()
-                .map(|id| {
-                    let idx = market
-                        .iter()
-                        .position(|m| &m.id == id)
-                        .unwrap_or_else(|| panic!("member {id} in corpus"));
-                    analyses[idx].clone()
-                })
-                .collect();
-            group_workload(g.id, &members)
-        })
-        .collect()
 }
 
 /// Summary statistics of one corpus group (a Table 2 row).
@@ -401,22 +292,5 @@ mod tests {
         assert!(row.max_loc >= row.avg_loc);
         let line = format_dataset_row(&row);
         assert!(line.contains("Third-party"));
-    }
-
-    #[test]
-    fn workloads_expose_full_property_sweeps() {
-        let soteria = Soteria::new();
-        let smoke = soteria
-            .analyze_app("Smoke-Alarm", soteria_corpus::running::SMOKE_ALARM)
-            .unwrap();
-        let single = app_workload(&smoke);
-        assert!(!single.formulas.is_empty(), "P.10 must apply to the smoke alarm");
-        assert!(single.kripke.state_count() >= smoke.model.state_count());
-        let water = soteria
-            .analyze_app("Water-Leak-Detector", soteria_corpus::running::WATER_LEAK_DETECTOR)
-            .unwrap();
-        let group = group_workload("G", &[smoke, water]);
-        assert!(group.formulas.len() >= single.formulas.len());
-        assert!(group.kripke.state_count() > 1);
     }
 }

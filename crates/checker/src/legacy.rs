@@ -1,5 +1,5 @@
 //! The pre-CSR model checker, preserved verbatim in behaviour as the "old" side of
-//! the engine-equivalence gate and the `verification_old_vs_new` measurement.
+//! the engine-equivalence tests in `tests/engine_differential.rs`.
 //!
 //! This is the checker the analyzer used before the frontier rewrite:
 //!

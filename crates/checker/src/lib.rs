@@ -21,7 +21,7 @@
 //!   single-member-edited) structure seeds its memo from the snapshot via
 //!   [`ModelChecker::reuse_from`] instead of recomputing, byte-identically;
 //! * [`LegacyModelChecker`] — the frozen pre-CSR round-based checker, kept as the
-//!   "old" side of the `verification_old_vs_new` engine-equivalence gate;
+//!   "old" side of the engine-equivalence tests (`tests/engine_differential.rs`);
 //! * [`render_smv`] — SMV-format output of models and specs for external inspection.
 
 pub mod bitset;

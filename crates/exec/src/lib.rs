@@ -37,7 +37,7 @@
 //! primitives guarantee ordering, and the callers guarantee their per-item
 //! closures are pure functions of the item (no iteration-order-dependent state).
 //! This is what makes `SOTERIA_THREADS=1` and `SOTERIA_THREADS=8` byte-identical,
-//! which `tests/parallel_determinism.rs` and the `parallel_scaling` gate enforce.
+//! which `tests/parallel_determinism.rs` enforces at 1, 2, 4 and 8 threads.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -192,8 +192,8 @@ where
 ///
 /// Kept as the reference implementation the pooled paths ([`par_map`],
 /// [`pool_map`], [`WorkerPool::install`]) are gated against in
-/// `tests/parallel_determinism.rs` and the `service_throughput` bench — and as
-/// the baseline that quantifies the per-call spawn overhead the pool eliminates.
+/// `tests/parallel_determinism.rs` — and as the per-call-spawn baseline that
+/// the pool replaces.
 pub fn scoped_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,

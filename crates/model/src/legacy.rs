@@ -6,8 +6,8 @@
 //! * the differential tests (`tests/packed_vs_legacy.rs`) assert that the packed
 //!   fast paths in [`crate::builder`] and [`crate::union`] produce semantically
 //!   identical models (state counts, transition sets, model-checking verdicts);
-//! * the comparison benches and the `packed_vs_legacy` binary measure the speedup
-//!   recorded in `BENCH_pr1.json` against exactly the seed code.
+//! * the speedup recorded in `BENCH_pr1.json` was measured against exactly the
+//!   seed code.
 //!
 //! Nothing in the production pipeline calls into this module.
 

@@ -38,9 +38,8 @@
 //! The legacy map view stays available: `StateModel::states()` materialises the
 //! Cartesian product lazily in one odometer pass on first use, and the public
 //! `State` API is unchanged. The seed implementations are preserved in [`legacy`]
-//! for differential testing and for the before/after numbers recorded in
-//! `BENCH_pr1.json` (see `crates/bench`, `cargo bench`, and the `packed_vs_legacy`
-//! binary).
+//! for differential testing (`tests/packed_vs_legacy.rs`); the before/after
+//! numbers they gave are recorded in `BENCH_pr1.json`.
 
 pub mod builder;
 pub mod dot;

@@ -31,7 +31,7 @@
 //! real time (measured honestly in `BENCH_pr9.json`) but never changes a
 //! result: instrumentation only *reads* analysis state, so traced and
 //! untraced runs are byte-identical (gated in `tests/observability.rs` and
-//! the `observability --smoke` CI gate). Tracing is enabled by the
+//! the traced CI test leg). Tracing is enabled by the
 //! `SOTERIA_TRACE` environment variable (read once, lazily) or explicitly via
 //! [`set_enabled`] (`soteria-serve --trace-out` does this).
 //!

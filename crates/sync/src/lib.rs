@@ -31,8 +31,8 @@
 //! # What the real backend guarantees
 //!
 //! * **Zero cost.** Each newtype is `#[repr(transparent)]`-shaped delegation;
-//!   the `sync_overhead` bench gates the facade-vs-raw ratio at ~1.0x and the
-//!   service sweep at byte-identity (`BENCH_pr10.json`).
+//!   the facade-vs-raw ratio measured ~1.0x when it was introduced
+//!   (`BENCH_pr10.json`), and the service suites run on it byte-identically.
 //! * **Poison recovery.** Locks hand back the inner value after a panic
 //!   (`unwrap_or_else(|p| p.into_inner())`). Mutex invariants in this
 //!   workspace hold between any two operations — see the PR 5 poisoning sweep

@@ -4,13 +4,18 @@
 //! pre-CSR `LegacyModelChecker` baseline — including under incremental
 //! re-verification: random *edit sequences* where each step reuses the previous
 //! step's satisfaction-set snapshot, and app-level edit chains where each union is
-//! rebuilt by delta against the previous one.
+//! rebuilt by delta against the previous one. The same agreements are pinned on
+//! the corpus: the full P.1–P.30 sweep of the running examples and the MalIoT
+//! suite, and an edit of market G.3 re-verified incrementally.
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use soteria::Soteria;
+use soteria::{default_initial_kripke, AppAnalysis, Soteria};
+use soteria_bench::analyze_all;
 use soteria_checker::{Ctl, Engine, Kripke, LegacyModelChecker, ModelChecker};
-use soteria_model::{union_models, union_models_delta, UnionOptions};
+use soteria_corpus::{all_market_apps, maliot_groups, maliot_suite, market_groups, running};
+use soteria_model::{union_models, union_models_delta, StateModel, UnionOptions};
+use soteria_properties::{applicable_properties, formula, AppUnderTest, DeviceContext};
 
 const ATOMS: [&str; 4] = ["p", "q", "r", "s"];
 
@@ -298,6 +303,156 @@ proptest! {
                 base = incremental;
                 snapshot = next_snapshot.expect("snapshot persists across edits");
             }
+        }
+    }
+}
+
+/// The structure and formulas the analyzer's property sweep checks for a set of
+/// members: the default-initial Kripke structure of the member's own model (one
+/// member) or of their union, and every applicable non-trivial P.1–P.30 formula
+/// over their combined devices.
+fn property_sweep(name: &str, members: &[&AppAnalysis]) -> (Kripke, Vec<Ctl>) {
+    let under_test: Vec<AppUnderTest<'_>> = members
+        .iter()
+        .map(|a| AppUnderTest {
+            name: &a.ir.name,
+            ir: &a.ir,
+            specs: &a.specs,
+            summaries: &a.summaries,
+        })
+        .collect();
+    let ctx = DeviceContext::from_apps(&under_test);
+    let formulas: Vec<Ctl> = applicable_properties(&ctx)
+        .into_iter()
+        .filter_map(|id| formula(id, &ctx))
+        .filter(|f| *f != Ctl::True)
+        .collect();
+    let kripke = match members {
+        [app] => default_initial_kripke(&app.model),
+        _ => {
+            let models: Vec<&StateModel> = members.iter().map(|a| &a.model).collect();
+            default_initial_kripke(&union_models(name, &models, &UnionOptions::default()))
+        }
+    };
+    (kripke, formulas)
+}
+
+/// All three checkers return identical `CheckResult`s (verdict, violating-state
+/// count and counterexample) on the full applicable property sweep of every
+/// running example, every MalIoT app and every MalIoT group.
+#[test]
+fn engines_agree_on_the_corpus_property_sweeps() {
+    let soteria = Soteria::new();
+    let mut sweeps: Vec<(String, Kripke, Vec<Ctl>)> = Vec::new();
+    for (name, source) in [
+        ("Water-Leak-Detector", running::WATER_LEAK_DETECTOR),
+        ("Smoke-Alarm", running::SMOKE_ALARM),
+        ("Thermostat-Energy-Control", running::THERMOSTAT_ENERGY_CONTROL),
+        ("Buggy-Smoke-Alarm", running::BUGGY_SMOKE_ALARM),
+    ] {
+        let analysis = soteria.analyze_app(name, source).expect("running example parses");
+        let (kripke, formulas) = property_sweep(name, &[&analysis]);
+        sweeps.push((name.to_string(), kripke, formulas));
+    }
+    let maliot = maliot_suite();
+    let analyses = analyze_all(&soteria, &maliot);
+    for analysis in &analyses {
+        let (kripke, formulas) = property_sweep(&analysis.ir.name, &[analysis]);
+        sweeps.push((analysis.ir.name.clone(), kripke, formulas));
+    }
+    for (group, members, _) in maliot_groups() {
+        let members: Vec<&AppAnalysis> = members
+            .iter()
+            .map(|id| &analyses[maliot.iter().position(|a| a.id == *id).expect("member")])
+            .collect();
+        let (kripke, formulas) = property_sweep(group, &members);
+        sweeps.push((group.to_string(), kripke, formulas));
+    }
+    assert_eq!(sweeps.len(), 4 + 17 + 3);
+    for (name, kripke, formulas) in &sweeps {
+        let symbolic = ModelChecker::new(kripke, Engine::Symbolic).check_all(formulas);
+        let explicit = ModelChecker::new(kripke, Engine::Explicit).check_all(formulas);
+        let legacy = LegacyModelChecker::new(kripke).check_all(formulas);
+        for (i, f) in formulas.iter().enumerate() {
+            assert_eq!(symbolic[i], explicit[i], "{name}: symbolic vs explicit on {f}");
+            assert_eq!(symbolic[i], legacy[i], "{name}: symbolic vs legacy on {f}");
+        }
+    }
+}
+
+fn assert_environments_equal(
+    context: &str,
+    got: &soteria::EnvironmentAnalysis,
+    want: &soteria::EnvironmentAnalysis,
+) {
+    assert_eq!(got.violations, want.violations, "{context}: violations");
+    assert_eq!(got.app_names, want.app_names, "{context}: member order");
+    assert_eq!(
+        got.union_model.transitions, want.union_model.transitions,
+        "{context}: union transitions"
+    );
+    assert_eq!(
+        soteria::render_environment_report(got),
+        soteria::render_environment_report(want),
+        "{context}: rendered reports"
+    );
+}
+
+/// Incremental re-verification on the corpus' largest group, market G.3. The
+/// snapshot-exporting cold pass equals the batch pass; after TP21's handler
+/// flips `detector_outlet.off()` to `.on()`, the delta union and the
+/// incremental re-analysis equal the from-scratch ones; an unchanged
+/// resubmission reproduces the batch result; and the word-sharded fixpoints
+/// equal the sequential ones at 1, 2, 4 and 8 shard threads.
+#[test]
+fn g3_incremental_reverification_matches_scratch() {
+    const EDITED: &str = "TP21";
+    let soteria = Soteria::new();
+    let market = all_market_apps();
+    let g3 = market_groups().into_iter().find(|g| g.id == "G.3").expect("G.3");
+    let source_of = |id: &str| &market.iter().find(|a| a.id == id).expect("member").source;
+    let analyses: Vec<AppAnalysis> = g3
+        .members
+        .iter()
+        .map(|id| soteria.analyze_app(id, source_of(id)).expect("member parses"))
+        .collect();
+    let refs: Vec<&AppAnalysis> = analyses.iter().collect();
+    let batch = soteria.analyze_environment_refs("G.3", &refs);
+    let (cold, snapshot) = soteria.analyze_environment_with_snapshot("G.3", &refs);
+    assert_environments_equal("cold snapshot pass", &cold, &batch);
+    let snapshot = snapshot.expect("G.3 has checkable properties");
+
+    let idx = g3.members.iter().position(|m| *m == EDITED).expect("TP21 in G.3");
+    let edited_source = source_of(EDITED).replace("detector_outlet.off()", "detector_outlet.on()");
+    assert_ne!(&edited_source, source_of(EDITED), "the edit changes TP21");
+    let mut edited = analyses.clone();
+    edited[idx] = soteria.analyze_app(EDITED, &edited_source).expect("edit parses");
+    let edited_refs: Vec<&AppAnalysis> = edited.iter().collect();
+    let scratch = soteria.analyze_environment_refs("G.3", &edited_refs);
+    let models: Vec<&StateModel> = edited.iter().map(|a| &a.model).collect();
+    let delta = union_models_delta(&cold.union_model, &models, idx, &UnionOptions::default())
+        .expect("a same-domain edit takes the delta union");
+    assert_eq!(delta.transitions, scratch.union_model.transitions, "delta union");
+    let (incremental, next) =
+        soteria.analyze_environment_incremental("G.3", &edited_refs, &cold, &snapshot, idx);
+    assert_environments_equal("TP21 edit", &incremental, &scratch);
+    assert!(next.is_some(), "the incremental pass re-exports a snapshot");
+
+    let (noop, _) = soteria.analyze_environment_incremental("G.3", &refs, &cold, &snapshot, idx);
+    assert_environments_equal("unchanged resubmission", &noop, &batch);
+
+    let (kripke, formulas) = property_sweep("G.3", &refs);
+    let sequential = ModelChecker::new(&kripke, Engine::Symbolic);
+    let expected: Vec<(Vec<usize>, _)> = formulas
+        .iter()
+        .map(|f| (sequential.sat(f).iter().collect(), sequential.check(f)))
+        .collect();
+    for threads in [1, 2, 4, 8] {
+        // A shard threshold of one state forces the sharded fixpoints.
+        let sharded = ModelChecker::with_sharding(&kripke, Engine::Symbolic, threads, 1);
+        for (f, (sat, result)) in formulas.iter().zip(&expected) {
+            assert_eq!(&sharded.sat(f).iter().collect::<Vec<_>>(), sat, "{threads} threads: {f}");
+            assert_eq!(&sharded.check(f), result, "{threads} threads: {f} verdict");
         }
     }
 }

@@ -10,7 +10,7 @@
 //! duplicate transitions, deadlocked states and unsorted sources.
 
 use proptest::prelude::*;
-use soteria::{IngestedApp, Soteria};
+use soteria::{default_initial_kripke, IngestedApp, Soteria};
 use soteria_analysis::{PathCondition, TransitionSpec};
 use soteria_capability::{AttributeValue, Event, EventKind};
 use soteria_checker::kripke::reference;
@@ -98,6 +98,9 @@ fn app5_reflection_free_recheck_model_matches_the_reference() {
 
 /// The same-domain edits the benchmark's update stream makes to G.3 members:
 /// every toggle subset of TP21 and TP22, each in the otherwise unchanged G.3.
+/// Each edited union's scratch structure matches the reference, and the delta
+/// builder seeded from unedited G.3's structure equals `default_initial_kripke`
+/// of the edited union in every field.
 #[test]
 fn g3_edit_variants_match_the_reference() {
     const EDITS: &[(&str, &[(&str, &str)])] = &[
@@ -113,6 +116,9 @@ fn g3_edit_variants_match_the_reference() {
     let soteria = Soteria::new();
     let apps = all_market_apps();
     let g3 = market_groups().into_iter().find(|g| g.id == "G.3").expect("G.3");
+    let unedited: Vec<(&str, &str)> =
+        g3.members.iter().map(|id| (*id, source_of(&apps, id))).collect();
+    let base = default_initial_kripke(&group_union(&soteria, "G.3", &unedited));
     for &(member, toggles) in EDITS {
         assert!(g3.members.contains(&member), "{member} is a G.3 member");
         for mask in 1u32..1 << toggles.len() {
@@ -129,7 +135,15 @@ fn g3_edit_variants_match_the_reference() {
                 .map(|id| (*id, if *id == member { edited.as_str() } else { source_of(&apps, id) }))
                 .collect();
             let union = group_union(&soteria, "G.3", &members);
-            assert_matches_reference(&format!("G.3 with {member} variant {mask}"), &union);
+            let context = format!("G.3 with {member} variant {mask}");
+            assert_matches_reference(&context, &union);
+            let (mut delta, _) = Kripke::from_state_model_delta(&base, &union, member)
+                .unwrap_or_else(|| panic!("{context}: delta builder declined"));
+            delta.initial = vec![union.initial];
+            assert!(
+                delta == default_initial_kripke(&union),
+                "{context}: delta structure differs from the scratch build"
+            );
         }
     }
 }

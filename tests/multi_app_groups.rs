@@ -2,7 +2,7 @@
 //! G.1–G.3 violate properties none of their members violates alone.
 
 use soteria::{AppAnalysis, Soteria};
-use soteria_corpus::{all_market_apps, market_groups};
+use soteria_corpus::{all_market_apps, maliot_groups, maliot_suite, market_groups};
 use std::collections::BTreeMap;
 
 fn analyze_members(soteria: &Soteria) -> BTreeMap<String, AppAnalysis> {
@@ -84,5 +84,48 @@ fn union_models_are_larger_than_members() {
         let apps: std::collections::BTreeSet<&str> =
             env.union_model.transitions.iter().map(|t| t.label.app.as_str()).collect();
         assert!(apps.len() >= 2, "{}: union should mix several apps", group.id);
+    }
+}
+
+/// Every corpus group's exact verdict: its violated properties in report
+/// order, repeats included (one entry per conflicting app pair or counter-
+/// example). These are the verdicts the benchmark's golden file records.
+/// Findings beyond the paper's Table 4 / MalIoT ground truth carry a reason.
+#[test]
+fn group_verdicts_are_pinned_exactly() {
+    const PINNED: &[(&str, &[&str])] = &[
+        ("G.1", &["S.1", "S.1", "S.1", "S.2", "S.3", "S.3"]),
+        // P.12: TP2's own finding (lights on while nobody is present) carries
+        // into the union. P.27: only the union has both TP2's presence sensor
+        // and TP3's mode changes, and no member sets the mode on presence.
+        ("G.2", &["S.2", "S.4", "P.12", "P.27"]),
+        // S.4: TP3's own switch.off/motion.inactive mode race, reported
+        // against O7, whose switch.off handler sets the same mode.
+        ("G.3", &["S.1", "S.2", "S.2", "S.2", "S.4", "P.12", "P.13", "P.14", "P.17"]),
+        ("MalIoT-G1", &["P.3"]),
+        // P.2: App1's own finding (light off on motion) carries into the union.
+        ("MalIoT-G2", &["S.1", "P.2"]),
+        ("MalIoT-G3", &["P.14"]),
+    ];
+    let soteria = Soteria::new();
+    let apps: Vec<_> = all_market_apps().into_iter().chain(maliot_suite()).collect();
+    let groups: Vec<(&str, Vec<&str>)> = market_groups()
+        .into_iter()
+        .map(|g| (g.id, g.members))
+        .chain(maliot_groups().into_iter().map(|(name, members, _)| (name, members)))
+        .collect();
+    assert_eq!(groups.len(), PINNED.len());
+    for ((name, members), (pinned_name, pinned)) in groups.iter().zip(PINNED) {
+        assert_eq!(name, pinned_name);
+        let members: Vec<AppAnalysis> = members
+            .iter()
+            .map(|id| {
+                let app = apps.iter().find(|a| a.id == *id).expect("member in corpus");
+                soteria.analyze_app(&app.id, &app.source).expect("member parses")
+            })
+            .collect();
+        let env = soteria.analyze_environment(name, &members);
+        let found: Vec<String> = env.violations.iter().map(|v| v.property.to_string()).collect();
+        assert_eq!(found, *pinned, "{name}: verdict differs from the pinned one");
     }
 }

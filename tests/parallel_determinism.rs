@@ -3,12 +3,12 @@
 //! rendered reports — must be identical whether the analyzer runs sequentially
 //! or fans out across worker threads.
 //!
-//! This is the test-suite twin of the `parallel_scaling --smoke` gate: every
-//! parallel site (`Soteria::analyze_apps`, `Soteria::analyze_environments`, the
-//! sharded property sweeps, and the partitioned union lift) must reproduce the
-//! sequential output byte for byte — same `Violation` lists in the same order,
-//! same union transitions, same report text (timing lines excluded, since
-//! wall-clock is measured rather than computed).
+//! Every parallel site (`Soteria::analyze_apps`, `Soteria::analyze_environments`,
+//! the sharded property sweeps, and the partitioned union lift) must reproduce
+//! the sequential output byte for byte — same `Violation` lists in the same
+//! order, same union transitions, same report text (timing lines excluded,
+//! since wall-clock is measured rather than computed). The MalIoT sweep is
+//! compared at 2, 4 and 8 threads, the market sweep at 4.
 //!
 //! PR 4 extends the gate to the service layer: the job queue's pooled +
 //! streamed (two-stage pipelined) results must be byte-identical to the PR 3
@@ -29,34 +29,38 @@ fn assert_sweeps_identical(
     name: &str,
     apps: &[CorpusApp],
     groups: &[(String, Vec<String>)],
+    thread_counts: &[usize],
 ) {
     let (seq_apps, seq_envs) = corpus_sweep(&soteria_with_threads(1), apps, groups);
-    let (par_apps, par_envs) = corpus_sweep(&soteria_with_threads(4), apps, groups);
+    for &threads in thread_counts {
+        let (par_apps, par_envs) = corpus_sweep(&soteria_with_threads(threads), apps, groups);
+        let name = format!("{name}@{threads}T");
 
-    assert_eq!(seq_apps.len(), par_apps.len());
-    for (s, p) in seq_apps.iter().zip(&par_apps) {
-        assert_eq!(s.violations, p.violations, "{name}/{}: violation lists differ", s.ir.name);
-        assert_eq!(
-            stable_app_report(s),
-            stable_app_report(p),
-            "{name}/{}: report output differs",
-            s.ir.name
-        );
-    }
-    assert_eq!(seq_envs.len(), par_envs.len());
-    for (s, p) in seq_envs.iter().zip(&par_envs) {
-        assert_eq!(s.violations, p.violations, "{name}/{}: group violations differ", s.name);
-        assert_eq!(
-            s.union_model.transitions, p.union_model.transitions,
-            "{name}/{}: union transitions differ",
-            s.name
-        );
-        assert_eq!(
-            render_environment_report(s),
-            render_environment_report(p),
-            "{name}/{}: environment report differs",
-            s.name
-        );
+        assert_eq!(seq_apps.len(), par_apps.len());
+        for (s, p) in seq_apps.iter().zip(&par_apps) {
+            assert_eq!(s.violations, p.violations, "{name}/{}: violation lists differ", s.ir.name);
+            assert_eq!(
+                stable_app_report(s),
+                stable_app_report(p),
+                "{name}/{}: report output differs",
+                s.ir.name
+            );
+        }
+        assert_eq!(seq_envs.len(), par_envs.len());
+        for (s, p) in seq_envs.iter().zip(&par_envs) {
+            assert_eq!(s.violations, p.violations, "{name}/{}: group violations differ", s.name);
+            assert_eq!(
+                s.union_model.transitions, p.union_model.transitions,
+                "{name}/{}: union transitions differ",
+                s.name
+            );
+            assert_eq!(
+                render_environment_report(s),
+                render_environment_report(p),
+                "{name}/{}: environment report differs",
+                s.name
+            );
+        }
     }
 }
 
@@ -315,13 +319,13 @@ fn aborted_then_resubmitted_job_is_byte_identical() {
 }
 
 #[test]
-fn maliot_sweep_is_identical_sequentially_and_at_four_threads() {
-    assert_sweeps_identical("maliot", &maliot_suite(), &maliot_group_specs());
+fn maliot_sweep_is_identical_sequentially_and_at_two_four_and_eight_threads() {
+    assert_sweeps_identical("maliot", &maliot_suite(), &maliot_group_specs(), &[2, 4, 8]);
 }
 
 #[test]
 fn market_sweep_is_identical_sequentially_and_at_four_threads() {
-    assert_sweeps_identical("market", &all_market_apps(), &market_group_specs());
+    assert_sweeps_identical("market", &all_market_apps(), &market_group_specs(), &[4]);
 }
 
 /// `par_map` panics surface with their original payload even when raised from a

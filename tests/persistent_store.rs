@@ -15,12 +15,13 @@
 use soteria::{JsonValue, Soteria};
 use soteria_analysis::AnalysisConfig;
 use soteria_bench::{
-    stable_app_report, submit_app_admitted as submit,
-    submit_environment_admitted as submit_env,
+    maliot_group_specs, market_group_specs, service_corpus_sweep, stable_app_report,
+    submit_app_admitted as submit, submit_environment_admitted as submit_env,
 };
+use soteria_corpus::{all_market_apps, maliot_suite, CorpusApp};
 use soteria_service::{
-    parse_entry, FaultAction, FaultFs, FileSystem, PersistentStore, RealFs, Service,
-    ServiceOptions, StoreBucket, StoreTuning,
+    parse_entry, CacheDisposition, FaultAction, FaultFs, FileSystem, JobOutcome,
+    PersistentStore, RealFs, Service, ServiceOptions, StoreBucket, StoreTuning,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -94,15 +95,22 @@ fn instant_tuning() -> StoreTuning {
     }
 }
 
-/// The single entry file in one store bucket (these tests submit one app / one
-/// env per bucket precisely so the entry is unambiguous).
-fn only_entry(dir: &Path, bucket: &str) -> PathBuf {
+/// The entry files in one store bucket, in name order.
+fn entries(dir: &Path, bucket: &str) -> Vec<PathBuf> {
     let bucket_dir = dir.join(bucket);
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&bucket_dir)
         .unwrap_or_else(|e| panic!("{}: {e}", bucket_dir.display()))
         .map(|entry| entry.expect("dir entry").path())
         .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
         .collect();
+    entries.sort();
+    entries
+}
+
+/// The single entry file in one store bucket (these tests submit one app / one
+/// env per bucket precisely so the entry is unambiguous).
+fn only_entry(dir: &Path, bucket: &str) -> PathBuf {
+    let mut entries = entries(dir, bucket);
     assert_eq!(entries.len(), 1, "expected exactly one {bucket} entry");
     entries.remove(0)
 }
@@ -116,52 +124,114 @@ fn strip_timings(report: &JsonValue) -> String {
         .render()
 }
 
+/// A store workload: apps submitted by corpus id, then groups over them.
+struct Workload {
+    tag: &'static str,
+    apps: Vec<CorpusApp>,
+    groups: Vec<(String, Vec<String>)>,
+}
+
+/// The water-leak pair (one app, one single-member environment), the MalIoT
+/// suite with its groups, and market G.1–G.3 with only their members.
+fn workloads() -> Vec<Workload> {
+    let water_leak = CorpusApp {
+        id: "wld".to_string(),
+        source: WATER_LEAK.to_string(),
+        ground_truth: Default::default(),
+    };
+    let market_groups = market_group_specs();
+    let market_apps: Vec<CorpusApp> = all_market_apps()
+        .into_iter()
+        .filter(|a| market_groups.iter().any(|(_, members)| members.contains(&a.id)))
+        .collect();
+    vec![
+        Workload {
+            tag: "water-leak",
+            apps: vec![water_leak],
+            groups: vec![("G".to_string(), vec!["wld".to_string()])],
+        },
+        Workload { tag: "maliot", apps: maliot_suite(), groups: maliot_group_specs() },
+        Workload { tag: "market-g1-g3", apps: market_apps, groups: market_groups },
+    ]
+}
+
+/// `(job, report JSON)` of a drained sweep outcome; panics on a job error.
+fn rendered(outcome: &JobOutcome) -> (String, String) {
+    match outcome {
+        JobOutcome::App { name, result, .. } => {
+            let app = result.as_ref().unwrap_or_else(|e| panic!("app {name}: {e}"));
+            (format!("app:{name}"), soteria::app_analysis_json(app).render())
+        }
+        JobOutcome::Environment { name, result, .. } => {
+            let env = result.as_ref().unwrap_or_else(|e| panic!("env {name}: {e}"));
+            (format!("env:{name}"), soteria::environment_json(env).render())
+        }
+    }
+}
+
 /// The tentpole bar: a restarted service restores results from disk and
 /// serves reports *byte-identical* to the freshly computed originals —
-/// including the measured timings frozen with the result.
+/// including the measured timings frozen with the result — for every job of
+/// every workload. One corrupted entry is then quarantined and recomputed
+/// with unchanged verdicts.
 #[test]
 fn warm_restart_serves_byte_identical_reports_from_disk() {
-    let dir = test_dir("warm-restart");
-    let (cold_app, cold_env) = {
+    for workload in &workloads() {
+        let tag = workload.tag;
+        let dir = test_dir(&format!("warm-restart-{tag}"));
+        let sweep = |service: &Service| {
+            service_corpus_sweep(service, &workload.apps, &workload.groups)
+        };
+        let cold: Vec<(String, String)> = {
+            let service = service_over(&dir);
+            let reports: Vec<_> = sweep(&service).iter().map(rendered).collect();
+            let stats = service.stats().store.expect("store configured");
+            assert_eq!(stats.writes as usize, reports.len(), "{tag}: not all written: {stats:?}");
+            assert_eq!(stats.corrupt_quarantined, 0);
+            reports
+        }; // service dropped: the restart below has only the disk to go on
+
         let service = service_over(&dir);
-        let app = submit(&service, "wld", WATER_LEAK).wait().expect("parses");
-        let env = submit_env(&service, "G", &["wld"]).wait().expect("members parse");
+        let warm = sweep(&service);
+        let restored: Vec<_> = warm.iter().map(rendered).collect();
+        assert_eq!(restored, cold, "{tag}: restored reports are not byte-identical");
         let stats = service.stats().store.expect("store configured");
-        assert!(stats.writes >= 2, "app + env not written through: {stats:?}");
+        assert_eq!(stats.disk_hits as usize, cold.len(), "{tag}: not all restored: {stats:?}");
         assert_eq!(stats.corrupt_quarantined, 0);
-        (
-            soteria::app_analysis_json(&app).render(),
-            soteria::environment_json(&env).render(),
-        )
-    }; // service dropped: the restart below has only the disk to go on
 
-    let service = service_over(&dir);
-    let warm = submit(&service, "wld", WATER_LEAK);
-    let warm_app = warm.wait().expect("restores");
-    // Disk restores are *misses* of the in-memory cache (the memory tier was
-    // cold); what makes them restores is the byte-identical result + counter.
-    assert_eq!(warm.disposition(), soteria_service::CacheDisposition::Miss);
-    assert_eq!(
-        soteria::app_analysis_json(&warm_app).render(),
-        cold_app,
-        "restored app report is not byte-identical (timings included)"
-    );
-    let warm_env = submit_env(&service, "G", &["wld"]).wait().expect("restores");
-    assert_eq!(
-        soteria::environment_json(&warm_env).render(),
-        cold_env,
-        "restored environment report is not byte-identical"
-    );
-    let stats = service.stats().store.expect("store configured");
-    assert_eq!(stats.disk_hits, 2, "app + env should both restore from disk");
-    assert_eq!(stats.corrupt_quarantined, 0);
+        // Disk restores are *misses* of the cold memory tier; what makes them
+        // restores is the byte-identical result and the counter. The restored
+        // results are now resident: a resubmission is a memory hit returning
+        // the same frozen allocation.
+        let JobOutcome::App { disposition, result: Ok(first_app), .. } = &warm[0] else {
+            panic!("{tag}: the sweep does not start with an analysed app");
+        };
+        assert_eq!(*disposition, CacheDisposition::Miss, "{tag}: restore was not a miss");
+        let app = &workload.apps[0];
+        let resident = submit(&service, &app.id, &app.source);
+        assert_eq!(resident.disposition(), CacheDisposition::Hit);
+        assert!(Arc::ptr_eq(first_app, &resident.wait().expect("hit")), "{tag}: not resident");
+        drop(service);
 
-    // And the restored results are now resident: a resubmission is a memory
-    // hit returning the same frozen allocation.
-    let resident = submit(&service, "wld", WATER_LEAK);
-    assert_eq!(resident.disposition(), soteria_service::CacheDisposition::Hit);
-    assert!(Arc::ptr_eq(&warm_app, &resident.wait().expect("hit")));
-    let _ = std::fs::remove_dir_all(&dir);
+        let victim = entries(&dir, "apps").remove(0);
+        let mut bytes = std::fs::read(&victim).expect("entry readable");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x11;
+        std::fs::write(&victim, &bytes).expect("damage written");
+        let service = service_over(&dir);
+        let damaged = sweep(&service);
+        for ((job, want), (_, got)) in cold.iter().zip(damaged.iter().map(rendered)) {
+            let stable = |render: &str| strip_timings(&JsonValue::parse(render).expect("parses"));
+            assert_eq!(stable(&got), stable(want), "{tag}: {job} changed after corruption");
+        }
+        let stats = service.stats().store.expect("store configured");
+        assert_eq!(stats.corrupt_quarantined, 1, "{tag}: not quarantined: {stats:?}");
+        assert!(
+            dir.join("quarantine").read_dir().expect("sidecar").next().is_some(),
+            "{tag}: nothing in the quarantine sidecar"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Satellite 3, detection side: truncating a *real* persisted entry at every

@@ -11,8 +11,9 @@
 //! `SOTERIA_DEADLINE_MS` CI knob) except the tolerance gate at the bottom,
 //! which is the chaos leg's target and accepts both completion and timeout.
 
-use soteria::Soteria;
+use soteria::{render_environment_report, Soteria};
 use soteria_analysis::AnalysisConfig;
+use soteria_exec::{with_abort, AbortHandle};
 use soteria_service::{
     AdmissionPolicy, CacheDisposition, FaultKind, JobError, Service, ServiceError,
     ServiceOptions,
@@ -319,6 +320,31 @@ fn drop_settles_outstanding_tickets_as_cancelled() {
     assert!(matches!(wedged.wait(), Err(JobError::Cancelled)), "wedged ticket not settled");
     assert!(matches!(queued.wait(), Err(JobError::Cancelled)), "queued ticket not settled");
     assert!(matches!(parked.wait(), Err(JobError::Cancelled)), "parked ticket not settled");
+}
+
+/// Abort polling is free of consequence: with a never-aborted `AbortHandle`
+/// installed, every poll site in the partitioned union lift and the checker's
+/// fixpoint loops pays the check and none fires, so the corpus' heaviest
+/// analysis, market G.3, renders byte-identically to a run with no handle.
+#[test]
+fn never_aborted_handle_leaves_the_g3_environment_byte_identical() {
+    let soteria = Soteria::new();
+    let g3 = soteria_corpus::market_groups().into_iter().find(|g| g.id == "G.3").expect("G.3");
+    let members: Vec<soteria::AppAnalysis> = g3
+        .members
+        .iter()
+        .map(|id| {
+            let (name, source) = soteria_corpus::find_app(id).expect("market app");
+            soteria.analyze_app(&name, &source).expect("member parses")
+        })
+        .collect();
+    let unpolled = render_environment_report(&soteria.analyze_environment("G.3", &members));
+    let handle = AbortHandle::new();
+    let polled = with_abort(Some(handle.clone()), || {
+        render_environment_report(&soteria.analyze_environment("G.3", &members))
+    });
+    assert!(!handle.is_aborted(), "nothing may abort this run");
+    assert!(polled == unpolled, "G.3 diverges with an abort handle installed");
 }
 
 /// The CI chaos leg's target: with `SOTERIA_DEADLINE_MS` in the environment
