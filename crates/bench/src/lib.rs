@@ -34,6 +34,37 @@ pub fn analyze_all(soteria: &Soteria, apps: &[CorpusApp]) -> Vec<AppAnalysis> {
         .collect()
 }
 
+/// The same-domain edits the benchmark's `serve-edit` updates make to members
+/// of market G.3: each editable member's toggles. Variant `mask` of a member
+/// applies toggle `i` when bit `i` is set; mask 0 is the original source.
+pub const G3_EDIT_TOGGLES: &[(&str, &[(&str, &str)])] = &[
+    ("TP21", &[("detector_outlet.off()", "detector_outlet.on()")]),
+    (
+        "TP22",
+        &[
+            ("heater_switch.on()", "heater_switch.off()"),
+            ("coffee_switch.on()", "coffee_switch.off()"),
+        ],
+    ),
+];
+
+/// `source` of the G.3 member `member` with variant `mask`'s toggles applied
+/// (see [`G3_EDIT_TOGGLES`]).
+pub fn g3_variant_source(member: &str, source: &str, mask: u32) -> String {
+    let (_, toggles) = G3_EDIT_TOGGLES
+        .iter()
+        .find(|(m, _)| *m == member)
+        .unwrap_or_else(|| panic!("{member} is not an editable G.3 member"));
+    let mut edited = source.to_string();
+    for (i, (from, to)) in toggles.iter().enumerate() {
+        if mask & (1 << i) != 0 {
+            assert!(edited.contains(from), "{member} lacks {from}");
+            edited = edited.replace(from, to);
+        }
+    }
+    edited
+}
+
 /// `(group name, member app ids)` of the market interaction groups G.1–G.3, in
 /// the shape [`analyze_groups`] takes.
 pub fn market_group_specs() -> Vec<(String, Vec<String>)> {

@@ -61,63 +61,6 @@ impl BitSet {
         self.words.iter().all(|w| *w == 0)
     }
 
-    /// Copies `len` bits of `src` starting at `src_start` into this set starting
-    /// at `dst_start`; destination bits outside the range are untouched. A
-    /// word-level blit — the incremental Kripke rebuild splices the unchanged
-    /// regions of every label row through this instead of testing and setting
-    /// tens of thousands of bits one at a time.
-    pub(crate) fn copy_range(&mut self, src: &BitSet, src_start: usize, dst_start: usize, len: usize) {
-        debug_assert!(src_start + len <= src.len && dst_start + len <= self.len);
-        let mut copied = 0;
-        while copied < len {
-            let dst_bit = dst_start + copied;
-            let word = dst_bit / 64;
-            let bit = dst_bit % 64;
-            let chunk = (64 - bit).min(len - copied);
-            let bits = src.read_bits(src_start + copied, chunk);
-            let mask =
-                if chunk == 64 { u64::MAX } else { ((1u64 << chunk) - 1) << bit };
-            self.words[word] = (self.words[word] & !mask) | (bits << bit);
-            copied += chunk;
-        }
-    }
-
-    /// Reads `count` (at most 64) bits starting at bit `start`, as the low bits
-    /// of the returned word.
-    fn read_bits(&self, start: usize, count: usize) -> u64 {
-        let word = start / 64;
-        let bit = start % 64;
-        let lo = self.words[word] >> bit;
-        let hi = if bit == 0 || word + 1 >= self.words.len() {
-            0
-        } else {
-            self.words[word + 1] << (64 - bit)
-        };
-        let v = lo | hi;
-        if count == 64 { v } else { v & ((1u64 << count) - 1) }
-    }
-
-    /// The smallest member at index `start` or later, if any. A word-skipping
-    /// scan — the incremental Kripke rebuild uses it to locate each atom's
-    /// first occurrence without walking states.
-    pub(crate) fn first_set_at_or_after(&self, start: usize) -> Option<usize> {
-        if start >= self.len {
-            return None;
-        }
-        let mut word = start / 64;
-        let mut bits = self.words[word] & (u64::MAX << (start % 64));
-        loop {
-            if bits != 0 {
-                return Some(word * 64 + bits.trailing_zeros() as usize);
-            }
-            word += 1;
-            if word >= self.words.len() {
-                return None;
-            }
-            bits = self.words[word];
-        }
-    }
-
     /// Set union (in place).
     pub fn union_with(&mut self, other: &BitSet) {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
@@ -267,35 +210,6 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127, 320, 399]);
         assert_eq!(BitSet::empty(400).iter().count(), 0);
         assert_eq!(BitSet::full(130).iter().collect::<Vec<_>>(), (0..130).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn first_set_scan() {
-        let mut s = BitSet::empty(200);
-        for i in [5, 64, 130, 199] {
-            s.insert(i);
-        }
-        assert_eq!(s.first_set_at_or_after(0), Some(5));
-        assert_eq!(s.first_set_at_or_after(5), Some(5));
-        assert_eq!(s.first_set_at_or_after(6), Some(64));
-        assert_eq!(s.first_set_at_or_after(65), Some(130));
-        assert_eq!(s.first_set_at_or_after(131), Some(199));
-        assert_eq!(s.first_set_at_or_after(200), None);
-        assert_eq!(BitSet::empty(100).first_set_at_or_after(0), None);
-    }
-
-    #[test]
-    fn copy_range_blits_unaligned() {
-        let mut src = BitSet::empty(300);
-        for i in [0, 1, 63, 64, 100, 163, 255, 299] {
-            src.insert(i);
-        }
-        let mut dst = BitSet::full(300);
-        dst.copy_range(&src, 60, 7, 210);
-        for i in 0..300 {
-            let expected = if (7..217).contains(&i) { src.contains(i - 7 + 60) } else { true };
-            assert_eq!(dst.contains(i), expected, "bit {i}");
-        }
     }
 
     #[test]

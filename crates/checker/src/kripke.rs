@@ -31,14 +31,15 @@
 //! `(event label, app)` to a small *label class* id once per label allocation,
 //! keys event states on a packed `(destination, class)` integer, writes the
 //! label rows directly, and emits both CSRs from counting-sorted per-model-state
-//! target groups. [`Kripke::from_state_model_delta`] splices a single-member edit
-//! into a previous structure instead. Both are struct-equal to the reference
-//! builder in [`reference`], which only tests call.
+//! target groups. It is struct-equal to the reference builder in [`reference`],
+//! which only tests call. It is also the only production builder: an
+//! incremental re-check of a changed union builds from scratch too, because
+//! that is faster than splicing the edit into the previous structure.
 
 use crate::bitset::BitSet;
 use soteria_model::{StateId, StateModel, TransitionLabel};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -62,8 +63,8 @@ pub struct Kripke {
     /// The underlying model state of each Kripke state.
     pub model_state: Vec<StateId>,
     /// The event label (if any) that produced each Kripke state. Shared
-    /// (`Arc<str>`) so the incremental rebuild copies unchanged members' states
-    /// with refcount bumps instead of tens of thousands of string allocations.
+    /// (`Arc<str>`) per label class, so a class's event states hold refcount
+    /// bumps instead of tens of thousands of string allocations.
     pub incoming_event: Vec<Option<Arc<str>>>,
     /// The app (if any) whose transition produced each Kripke state.
     pub incoming_app: Vec<Option<Arc<str>>>,
@@ -90,12 +91,6 @@ pub struct Kripke {
     /// For each atom, the set of states where it holds, packed as a bitset row over
     /// the state universe.
     pub(crate) atom_rows: Vec<BitSet>,
-    /// For model-derived structures, the Kripke target state of each model
-    /// transition, aligned with the model's transition order. Lets
-    /// [`Kripke::from_state_model_delta`] recover the edge relation of a
-    /// mostly-identical model without re-hashing unchanged labels. Empty for
-    /// hand-built structures.
-    pub(crate) transition_targets: Vec<u32>,
 }
 
 impl Kripke {
@@ -236,10 +231,6 @@ impl Kripke {
     /// rows are written directly, and the successor lists are counting-sorted
     /// into per-model-state groups, each sorted and deduplicated on its own,
     /// before [`Kripke::set_transitions_grouped`] emits both CSRs.
-    ///
-    /// The per-transition targets are recorded on the structure: they are what
-    /// lets [`Kripke::from_state_model_delta`] recover the edge relation of a
-    /// later, mostly-identical model without resolving unchanged labels again.
     pub fn from_state_model(model: &StateModel) -> Kripke {
         let _span = soteria_obs::span("kripke.build");
         let schema = &model.schema;
@@ -321,380 +312,21 @@ impl Kripke {
             cursor[t.from] += 1;
         }
         sort_dedup_groups(&mut group_offsets, &mut grouped);
-        kripke.transition_targets = targets;
         kripke.set_transitions_grouped(&group_offsets, &grouped);
         kripke
     }
 
-    /// Rebuilds the Kripke structure of a model that differs from `base`'s
-    /// source model in exactly one member's contiguous transition block — the
-    /// delta-union contract (`soteria_model::union_models_delta`): unchanged
-    /// members' transitions are the base's own, spliced by handle. Everything
-    /// derivable from the unchanged members is copied from `base` — state
-    /// vectors by slice, label rows by word-level bitset blit, per-source edge
-    /// lists straight out of the base's CSR arrays (suffix ids shifted
-    /// uniformly) — and only the changed member's block is walked with the
-    /// full label-hashing construction.
-    ///
-    /// The result is **byte-identical** to `Kripke::from_state_model(model)`
-    /// with `base.initial` applied — same atom order (the event-atom interning
-    /// sequence is replayed in state order, which is creation order), same
-    /// state numbering (a member's event states are contiguous because its
-    /// `(destination, event, app)` keys carry its own name), and the same CSR
-    /// arrays (per-source target lists keep their sorted order under the
-    /// segment splice: prefix ids < changed ids < shifted suffix ids).
-    ///
-    /// Returns `None` — the caller falls back to a scratch build — whenever a
-    /// precondition cannot be verified cheaply: `base` is not a model-derived
-    /// structure over the same schema, either side's changed block is not
-    /// contiguous, or a prefix/suffix transition disagrees with `base`'s
-    /// recorded target on destination or app (the event kind and source state
-    /// are the delta-union contract's: unchanged blocks are spliced, not
-    /// rebuilt). The second tuple field reports whether every changed-member
-    /// event state already existed in `base` — only then can a
-    /// [`crate::SatSnapshot`] projection onto the new structure be total.
+    /// Always `None`: the caller falls back to a scratch build, because
+    /// [`Kripke::from_state_model`] is faster than splicing one member's edit
+    /// into `base`. Kept only for the benchmark's replay
+    /// (`perfbench/harness/src/replay.rs`), which still calls it.
+    #[doc(hidden)]
     pub fn from_state_model_delta(
-        base: &Kripke,
-        model: &StateModel,
-        changed_app: &str,
+        _base: &Kripke,
+        _model: &StateModel,
+        _changed_app: &str,
     ) -> Option<(Kripke, bool)> {
-        let _span = soteria_obs::span("kripke.delta");
-        let q = model.state_count();
-        let schema = &model.schema;
-        let n_old = base.state_count();
-        if n_old < q || base.transition_targets.is_empty() || !base.name_override.is_empty() {
-            return None;
-        }
-        // `base` must have the quiescent-prefix shape this module builds...
-        if (0..q).any(|s| base.model_state[s] != s || base.incoming_event[s].is_some()) {
-            return None;
-        }
-        // ...over the same schema.
-        let strides: Vec<usize> =
-            (0..schema.attr_count()).map(|a| schema.stride(a as soteria_model::AttrId)).collect();
-        if base.name_strides != strides || base.name_fragments.len() != schema.attr_count() {
-            return None;
-        }
-        if (0..schema.attr_count()).any(|a| {
-            base.name_fragments[a].len() != schema.domain(a as soteria_model::AttrId).len()
-        }) {
-            return None;
-        }
-
-        // The changed member's block in the new model: exactly one contiguous run.
-        let (mut ns, mut ne) = (usize::MAX, 0usize);
-        for (i, t) in model.transitions.iter().enumerate() {
-            if t.label.app == changed_app {
-                if ns == usize::MAX {
-                    (ns, ne) = (i, i + 1);
-                } else if i == ne {
-                    ne = i + 1;
-                } else {
-                    return None;
-                }
-            }
-        }
-        // The changed member's event states in `base`: one contiguous run (its
-        // keys carry its own app name, so no other member contributes to it);
-        // fused with the per-state event-label sanity check.
-        let (mut cs, mut ce) = (usize::MAX, 0usize);
-        for s in q..n_old {
-            let app = base.incoming_app[s].as_deref()?;
-            base.incoming_event[s].as_ref()?;
-            if app == changed_app {
-                if cs == usize::MAX {
-                    (cs, ce) = (s, s + 1);
-                } else if s == ce {
-                    ce = s + 1;
-                } else {
-                    return None;
-                }
-            }
-        }
-        // Its transition block in `base`, recovered from the recorded targets:
-        // only the changed member's transitions point into `cs..ce`.
-        let old_total = base.transition_targets.len();
-        let (mut os, mut oe) = (usize::MAX, 0usize);
-        for (i, &t) in base.transition_targets.iter().enumerate() {
-            if (cs..ce).contains(&(t as usize)) {
-                if os == usize::MAX {
-                    (os, oe) = (i, i + 1);
-                } else if i == oe {
-                    oe = i + 1;
-                } else {
-                    return None;
-                }
-            }
-        }
-        if ns == usize::MAX
-            || os != ns
-            || old_total - oe != model.transitions.len() - ne
-        {
-            return None;
-        }
-        // Prefix and suffix transitions must agree with the recorded targets on
-        // destination and app (the cheap two fields of the event-state key).
-        for (i, t) in model.transitions[..ns].iter().enumerate() {
-            let tgt = base.transition_targets[i] as usize;
-            if tgt < q
-                || tgt >= cs
-                || base.model_state[tgt] != t.to
-                || base.incoming_app[tgt].as_deref() != Some(t.label.app.as_str())
-            {
-                return None;
-            }
-        }
-        for (k, t) in model.transitions[ne..].iter().enumerate() {
-            let tgt = base.transition_targets[oe + k] as usize;
-            if tgt < ce
-                || tgt >= n_old
-                || base.model_state[tgt] != t.to
-                || base.incoming_app[tgt].as_deref() != Some(t.label.app.as_str())
-            {
-                return None;
-            }
-        }
-
-        // The changed member's event states, in creation (first-transition)
-        // order, plus each of its transitions' Kripke target. Every transition
-        // in the block carries `changed_app`, so the app is dropped from the
-        // keys; event labels are interned through a cache keyed by the label
-        // *allocation* (the delta union shares one `Arc<TransitionLabel>` per
-        // member transition across its lifted copies, so the cache renders each
-        // distinct label once and the per-transition step hashes a pointer).
-        // `all_in_base` tracks whether the block introduces any state `base`
-        // did not have.
-        let old_event_keys: HashSet<(StateId, &str)> = (cs..ce)
-            .map(|s| (base.model_state[s], base.incoming_event[s].as_deref().unwrap_or_default()))
-            .collect();
-        let app_arc: Arc<str> = Arc::from(changed_app);
-        let mut labels: Vec<Arc<str>> = Vec::new();
-        let mut label_lookup: HashMap<Arc<str>, u32> = HashMap::new();
-        let mut label_of_ptr: HashMap<usize, u32> = HashMap::new();
-        let mut event_state: HashMap<(StateId, u32), u32> = HashMap::new();
-        let mut changed_states: Vec<(StateId, u32)> = Vec::new();
-        let mut changed_targets: Vec<u32> = Vec::with_capacity(ne - ns);
-        let mut all_in_base = true;
-        for t in &model.transitions[ns..ne] {
-            let ptr = Arc::as_ptr(&t.label) as usize;
-            let lid = match label_of_ptr.get(&ptr) {
-                Some(&l) => l,
-                None => {
-                    let rendered = t.label.event.kind.label();
-                    let l = match label_lookup.get(rendered.as_str()) {
-                        Some(&l) => l,
-                        None => {
-                            let l = labels.len() as u32;
-                            let arc: Arc<str> = Arc::from(rendered.as_str());
-                            label_lookup.insert(arc.clone(), l);
-                            labels.push(arc);
-                            l
-                        }
-                    };
-                    label_of_ptr.insert(ptr, l);
-                    l
-                }
-            };
-            let key = (t.to, lid);
-            let id = match event_state.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = (cs + changed_states.len()) as u32;
-                    all_in_base &=
-                        old_event_keys.contains(&(t.to, &*labels[lid as usize]));
-                    changed_states.push(key);
-                    event_state.insert(key, id);
-                    id
-                }
-            };
-            changed_targets.push(id);
-        }
-        let new_ce = cs + changed_states.len();
-        let n_new = new_ce + (n_old - ce);
-        let shift = new_ce as i64 - ce as i64;
-
-        let mut kripke = Kripke::default();
-        let mut atom_lookup: HashMap<String, usize> = HashMap::new();
-        let attr_atoms = install_schema_atoms(&mut kripke, model, &mut atom_lookup);
-        // The attribute atoms' names must match the base's exactly for the row
-        // splice (and the replay skip below) to hold; the fragment tables pin
-        // the full (handle, attribute, value) triples, not just the counts.
-        if base.name_fragments != kripke.name_fragments {
-            return None;
-        }
-
-        // Quiescent states: same ids, no incoming labels; their attribute-atom
-        // bits arrive with the row splice below.
-        kripke.model_state.extend(0..q);
-        kripke.incoming_event.resize(q, None);
-        kripke.incoming_app.resize(q, None);
-
-        // Atom-interning replay without walking the unchanged states. The
-        // scratch build interns `event:`/`triggered`/`by-app:` atoms at each
-        // event state's creation, in state order; so the prefix's intern
-        // sequence is the base's own atom order restricted to atoms whose
-        // first occurrence is below `cs`, the changed block interns at its
-        // states' creation, and the suffix interns whatever remains, ordered
-        // by first occurrence at or after `ce` with the per-state intern order
-        // (event, then `triggered`, then `by-app:`) as the tie-break.
-        let mut deferred: Vec<(usize, u8)> = Vec::new();
-        for (bi, name) in base.atoms.iter().enumerate() {
-            if atom_lookup.contains_key(name) {
-                continue; // schema atom, interned above in schema order
-            }
-            match base.atom_rows[bi].first_set_at_or_after(0) {
-                Some(f) if f < cs => {
-                    intern_atom(&mut kripke.atoms, &mut atom_lookup, name.clone());
-                }
-                _ => {
-                    let rank = match name.as_str() {
-                        "triggered" => 1,
-                        n if n.starts_with("by-app:") => 2,
-                        _ => 0,
-                    };
-                    deferred.push((bi, rank));
-                }
-            }
-        }
-        // Prefix members' event states: ids unchanged, labels shared.
-        kripke.model_state.extend_from_slice(&base.model_state[q..cs]);
-        kripke.incoming_event.extend(base.incoming_event[q..cs].iter().cloned());
-        kripke.incoming_app.extend(base.incoming_app[q..cs].iter().cloned());
-
-        // The changed member's block: the one part that is genuinely new.
-        let mut event_atom: Vec<usize> = vec![usize::MAX; labels.len()];
-        let mut triggered = usize::MAX;
-        let mut app_atom = usize::MAX;
-        for &(to, lid) in &changed_states {
-            if event_atom[lid as usize] == usize::MAX {
-                event_atom[lid as usize] = intern_atom(
-                    &mut kripke.atoms,
-                    &mut atom_lookup,
-                    format!("event:{}", labels[lid as usize]),
-                );
-            }
-            if triggered == usize::MAX {
-                triggered =
-                    intern_atom(&mut kripke.atoms, &mut atom_lookup, "triggered".to_string());
-            }
-            if app_atom == usize::MAX {
-                app_atom = intern_atom(
-                    &mut kripke.atoms,
-                    &mut atom_lookup,
-                    format!("by-app:{changed_app}"),
-                );
-            }
-            kripke.model_state.push(to);
-            kripke.incoming_event.push(Some(labels[lid as usize].clone()));
-            kripke.incoming_app.push(Some(app_arc.clone()));
-        }
-
-        // Suffix members' event states: ids shifted uniformly, labels shared.
-        // (An atom the changed block just interned is no longer "remaining";
-        // one set only in the old changed block with no suffix occurrence is
-        // dropped entirely, exactly as a scratch build would never see it.)
-        let mut suffix_intro: Vec<(u32, u8, usize)> = deferred
-            .into_iter()
-            .filter(|&(bi, _)| !atom_lookup.contains_key(&base.atoms[bi]))
-            .filter_map(|(bi, rank)| {
-                base.atom_rows[bi].first_set_at_or_after(ce).map(|f| (f as u32, rank, bi))
-            })
-            .collect();
-        suffix_intro.sort_unstable();
-        for &(_, _, bi) in &suffix_intro {
-            intern_atom(&mut kripke.atoms, &mut atom_lookup, base.atoms[bi].clone());
-        }
-        kripke.model_state.extend_from_slice(&base.model_state[ce..]);
-        kripke.incoming_event.extend(base.incoming_event[ce..].iter().cloned());
-        kripke.incoming_app.extend(base.incoming_app[ce..].iter().cloned());
-
-        // Label rows: splice each atom's unchanged regions out of the base's
-        // row by name (bitset blit), then set the changed block's bits from its
-        // states' labels. Atoms the base did not have can only hold in the
-        // changed block; base atoms that no longer occur are simply absent.
-        let mut rows: Vec<BitSet> = Vec::with_capacity(kripke.atoms.len());
-        for name in &kripke.atoms {
-            let mut row = BitSet::empty(n_new);
-            if let Some(&old) = base.atom_lookup.get(name) {
-                let old_row = base.atom_row(old);
-                row.copy_range(old_row, 0, 0, cs);
-                row.copy_range(old_row, ce, new_ce, n_old - ce);
-            }
-            rows.push(row);
-        }
-        for (i, &(to, lid)) in changed_states.iter().enumerate() {
-            let s = cs + i;
-            for a in 0..schema.attr_count() {
-                let digit = schema.digit_of(to, a as soteria_model::AttrId) as usize;
-                rows[attr_atoms[a][digit]].insert(s);
-            }
-            rows[event_atom[lid as usize]].insert(s);
-            rows[triggered].insert(s);
-            rows[app_atom].insert(s);
-        }
-        kripke.atom_rows = rows;
-        kripke.atom_lookup = atom_lookup;
-
-        // Per-transition targets: prefix copied, changed block computed, suffix
-        // copied with the shift applied.
-        let mut targets: Vec<u32> = Vec::with_capacity(model.transitions.len());
-        targets.extend_from_slice(&base.transition_targets[..ns]);
-        targets.extend_from_slice(&changed_targets);
-        for &t in &base.transition_targets[oe..] {
-            targets.push((t as i64 + shift) as u32);
-        }
-        kripke.transition_targets = targets;
-
-        // The changed member's edges grouped by source model state: sorting
-        // the (from, target) pairs groups, orders, and dedups them in one shot.
-        let mut changed_pairs: Vec<(u32, u32)> = model.transitions[ns..ne]
-            .iter()
-            .zip(&changed_targets)
-            .map(|(t, &tgt)| (t.from as u32, tgt))
-            .collect();
-        changed_pairs.sort_unstable();
-        changed_pairs.dedup();
-
-        // Per-model-state target lists, from the base's own CSR, as one flat
-        // array (no per-state allocation): a quiescent state's successor list
-        // *is* its model state's sorted, deduplicated target list (its only
-        // sub-`q` entry can be the totalising self-loop, which the CSR rebuild
-        // re-adds). The three segments keep sorted order: prefix ids <
-        // changed-block ids < shifted suffix ids.
-        let mut group_offsets: Vec<u32> = Vec::with_capacity(q + 1);
-        group_offsets.push(0);
-        let mut cursor = 0usize;
-        let mut total = 0u32;
-        for ms in 0..q {
-            let mut count = 0u32;
-            for &t in base.successors(ms) {
-                let t = t as usize;
-                if (q..cs).contains(&t) || t >= ce {
-                    count += 1;
-                }
-            }
-            while cursor < changed_pairs.len() && changed_pairs[cursor].0 == ms as u32 {
-                cursor += 1;
-                count += 1;
-            }
-            total += count;
-            group_offsets.push(total);
-        }
-        let mut grouped: Vec<u32> = Vec::with_capacity(total as usize);
-        let mut cursor = 0usize;
-        for ms in 0..q {
-            let old = base.successors(ms);
-            grouped.extend(old.iter().copied().filter(|&t| (q..cs).contains(&(t as usize))));
-            while cursor < changed_pairs.len() && changed_pairs[cursor].0 == ms as u32 {
-                grouped.push(changed_pairs[cursor].1);
-                cursor += 1;
-            }
-            grouped
-                .extend(old.iter().filter(|&&t| t as usize >= ce).map(|&t| (t as i64 + shift) as u32));
-        }
-        kripke.set_transitions_grouped(&group_offsets, &grouped);
-        kripke.initial = base.initial.clone();
-        Some((kripke, all_in_base))
+        None
     }
 
     /// Installs the transition relation from a flat per-model-state CSR of
@@ -890,7 +522,8 @@ impl Hasher for PackedKeyHasher {
 }
 
 /// Interns the schema-derived attribute atoms and installs the lazy-naming
-/// tables (fragments and strides) shared by the scratch and delta builds.
+/// tables (fragments and strides) shared by the production and reference
+/// builders.
 /// Returns the atom ids per `(attribute, value digit)` pair.
 fn install_schema_atoms(
     kripke: &mut Kripke,

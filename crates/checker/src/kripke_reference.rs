@@ -78,23 +78,19 @@ pub fn from_state_model(model: &StateModel) -> Kripke {
     }
 
     // Transitions: every Kripke state sharing the source model state gets an edge
-    // to the (destination, label) Kripke state, and each transition's target is
-    // recorded for the delta builder.
+    // to the (destination, label) Kripke state.
     let mut states_of_model: Vec<Vec<usize>> = vec![Vec::new(); model.state_count()];
     for (id, &ms) in kripke.model_state.iter().enumerate() {
         states_of_model[ms].push(id);
     }
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut targets: Vec<u32> = Vec::with_capacity(model.transitions.len());
     for t in &model.transitions {
         let key = (t.to, t.label.event.kind.label(), t.label.app.clone());
         let to_id = event_state[&key] as u32;
-        targets.push(to_id);
         for &from_id in &states_of_model[t.from] {
             edges.push((from_id as u32, to_id));
         }
     }
-    kripke.transition_targets = targets;
     set_transitions(&mut kripke, edges);
     kripke.set_labels(&per_state);
     kripke

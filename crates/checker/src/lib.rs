@@ -17,9 +17,9 @@
 //!   shard) on large universes, byte-identical to the sequential batch
 //!   ([`check_all_parallel_with`] exposes both sharding thresholds);
 //! * [`SatSnapshot`] — a frozen export of one checker's memoized satisfaction
-//!   sets for incremental re-verification: a later checker over the same (or a
-//!   single-member-edited) structure seeds its memo from the snapshot via
-//!   [`ModelChecker::reuse_from`] instead of recomputing, byte-identically;
+//!   sets for incremental re-verification: a later checker over an equal
+//!   structure starts from the snapshot's memo via [`ModelChecker::reuse_from`]
+//!   instead of recomputing, byte-identically;
 //! * [`LegacyModelChecker`] — the frozen pre-CSR round-based checker, kept as the
 //!   "old" side of the engine-equivalence tests (`tests/engine_differential.rs`);
 //! * [`render_smv`] — SMV-format output of models and specs for external inspection.

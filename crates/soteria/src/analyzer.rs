@@ -34,8 +34,10 @@ enum EnvMode<'a> {
     /// From scratch on a single memo-sharing checker, exporting its sat sets
     /// (the service's cold path: first analysis of a resident group).
     Snapshot,
-    /// One member changed: delta-union against the cached base model, sat-set
-    /// reuse from the cached snapshot, fresh snapshot exported.
+    /// One member changed: delta-union against the cached base model. An
+    /// unchanged union is checked on the snapshot's own structure, reusing every
+    /// sat set; a changed one is built from scratch and checked cold. Either
+    /// way a fresh snapshot is exported.
     Incremental {
         base: &'a EnvironmentAnalysis,
         snapshot: &'a SatSnapshot,
@@ -46,8 +48,10 @@ enum EnvMode<'a> {
 /// The checking half of [`EnvMode`], passed into `check_specific_on_model`.
 enum CheckMode<'a> {
     Batch,
-    Snapshot,
-    Reuse { snapshot: &'a SatSnapshot, dirty_prefixes: &'a [String] },
+    /// One memo-sharing checker whose sets are exported. With a previous
+    /// snapshot, whose structure equals the model's, the check runs on that
+    /// structure and starts from its sat sets.
+    Snapshot(Option<&'a SatSnapshot>),
 }
 
 /// The Soteria analyzer (Fig. 3): obtains the IR of an app, constructs its state
@@ -249,15 +253,16 @@ impl Soteria {
     }
 
     /// Re-analyzes an environment after exactly one member changed, reusing a
-    /// cached base: the union model is rebuilt by
-    /// [`union_models_delta`] (re-lifting only the changed member and splicing
-    /// the rest from `base`), and the property check seeds its sat-set memo
-    /// from `snapshot` for every subformula over unchanged members' attributes
-    /// ([`ModelChecker::reuse_from`]). Falls back to full recomputation —
-    /// silently, member by mechanism — whenever a guarantee fails (changed
-    /// attribute domains, unprojectable states), so the result is always
-    /// byte-identical to [`Soteria::analyze_environment_refs`] on the same
-    /// members. Returns the fresh analysis and the next snapshot.
+    /// cached base. The union model is rebuilt by [`union_models_delta`]
+    /// (re-lifting only the changed member and splicing the rest from `base`),
+    /// falling back to a scratch union when its guarantees fail (changed
+    /// attribute domains). If the union equals the base's (an edit that left
+    /// the member's model as it was), the check runs on the snapshot's own
+    /// structure and reuses every sat set ([`ModelChecker::reuse_from`]).
+    /// Otherwise the Kripke structure is built from scratch and checked cold,
+    /// which is faster than patching the previous structure. The result is
+    /// always byte-identical to [`Soteria::analyze_environment_refs`] on the
+    /// same members. Returns the fresh analysis and the next snapshot.
     pub fn analyze_environment_incremental(
         &self,
         group_name: &str,
@@ -333,55 +338,20 @@ impl Soteria {
                 Some(start)
             })
             .collect();
-        // The changed member's attribute partition: its own attributes' `attr:`
-        // prefixes plus its `by-app:` atom. These atoms are force-marked dirty in
-        // the reuse tier (anything over them recomputes); everything else is
-        // pointwise-verified stable before reuse, so the partition is a work
-        // hint, never a soundness input.
-        let dirty_prefixes: Vec<String> = match &mode {
-            EnvMode::Incremental { changed_member, .. } => {
-                let changed = apps[*changed_member];
-                let mut prefixes: Vec<String> = changed
-                    .model
-                    .attributes
-                    .keys()
-                    .map(|(handle, attribute)| format!("attr:{handle}.{attribute}="))
-                    .collect();
-                prefixes.push(format!("by-app:{}", changed.ir.name));
-                prefixes
-            }
-            _ => Vec::new(),
-        };
-        // Incremental structure reuse: rebuild the union's Kripke structure from
-        // the snapshot's (no-op resubmissions hand back the very same
-        // allocation; single-member edits copy the unchanged members' states)
-        // instead of from scratch. `projectable` reports whether the sat-set
-        // projection onto the rebuilt structure can be total; when it cannot,
-        // the doomed projection attempt is skipped outright (snapshot-only
-        // mode), which changes no verdict — an untotal projection stays cold.
-        let (prebuilt, projectable) = match &mode {
-            EnvMode::Incremental { base, snapshot, changed_member } => incremental_kripke(
-                &union_model,
-                base,
-                snapshot,
-                apps[*changed_member].ir.name.as_str(),
-            ),
-            _ => (None, true),
-        };
         let check_mode = match &mode {
             EnvMode::Batch => CheckMode::Batch,
-            EnvMode::Snapshot => CheckMode::Snapshot,
-            EnvMode::Incremental { snapshot, .. } if projectable => {
-                CheckMode::Reuse { snapshot, dirty_prefixes: &dirty_prefixes }
+            EnvMode::Incremental { base, snapshot, .. }
+                if union_unchanged(&union_model, base, snapshot) =>
+            {
+                CheckMode::Snapshot(Some(snapshot))
             }
-            EnvMode::Incremental { .. } => CheckMode::Snapshot,
+            EnvMode::Snapshot | EnvMode::Incremental { .. } => CheckMode::Snapshot(None),
         };
         // The union model uses the abstractions already baked into the per-app models;
         // an aggregate abstraction is only needed for FP re-checking, so reuse the
         // first app's (values outside any domain collapse to `other`).
         let (specific, out_snapshot) = self.check_specific_on_model(
             &union_model,
-            prebuilt,
             &ctx,
             &app_names,
             &all_specs,
@@ -524,7 +494,7 @@ impl Soteria {
         ctx: &DeviceContext,
         apps: &[String],
     ) -> Vec<Violation> {
-        self.check_specific_on_model(model, None, ctx, apps, specs, CheckMode::Batch, |kept| {
+        self.check_specific_on_model(model, ctx, apps, specs, CheckMode::Batch, |kept| {
             let kept_owned: Vec<TransitionSpec> =
                 kept.iter().map(|&i| specs[i].clone()).collect();
             build_state_model(&model.name, abstraction, &kept_owned, &BuildOptions::default())
@@ -544,8 +514,8 @@ impl Soteria {
     /// shard, and above the property threshold the shards fan out across
     /// per-thread checkers; small universes recompute — see the checker's
     /// `SMALL_UNIVERSE` note). The snapshot modes run the whole batch on one
-    /// memo-sharing checker instead so its sat sets can be exported (and, in
-    /// [`CheckMode::Reuse`], seeded from the previous check) — the existing
+    /// memo-sharing checker instead so its sat sets can be exported (and, given
+    /// a previous snapshot, started from its sets) — the existing
     /// parallel-identity gate makes the two schedules byte-identical. The
     /// reflection-free re-check batches the failing formulas the parallel way
     /// in every mode.
@@ -553,7 +523,6 @@ impl Soteria {
     fn check_specific_on_model(
         &self,
         model: &StateModel,
-        prebuilt: Option<Arc<Kripke>>,
         ctx: &DeviceContext,
         apps: &[String],
         specs: &[TransitionSpec],
@@ -577,12 +546,12 @@ impl Soteria {
         if formulas.is_empty() {
             return (Vec::new(), None);
         }
-        // `prebuilt` (the incremental paths) is struct-equal to this scratch
-        // build by the delta builder's contract; it splices the unchanged
-        // members' states instead of resolving every transition again (market
-        // G.3: ~47k Kripke states from ~154k transitions).
-        let kripke: Arc<Kripke> =
-            prebuilt.unwrap_or_else(|| Arc::new(default_initial_kripke(model)));
+        // A previous snapshot's structure equals this model's (see
+        // `union_unchanged`); every other path builds from scratch.
+        let kripke: Arc<Kripke> = match mode {
+            CheckMode::Snapshot(Some(prev)) => Arc::clone(prev.kripke()),
+            _ => Arc::new(default_initial_kripke(model)),
+        };
         let (results, snapshot) = match mode {
             CheckMode::Batch => {
                 let _s = soteria_obs::span("check.batch");
@@ -598,27 +567,18 @@ impl Soteria {
                     None,
                 )
             }
-            CheckMode::Snapshot => {
-                let _s = soteria_obs::span("check.cold");
-                let checker = ModelChecker::with_sharding(
+            CheckMode::Snapshot(reuse) => {
+                let label = if reuse.is_some() { "check.reuse" } else { "check.cold" };
+                let _s = soteria_obs::span(label);
+                let mut checker = ModelChecker::with_sharding(
                     &kripke,
                     self.engine,
                     self.config.threads,
                     self.config.fixpoint_shard_states,
                 );
-                let results = checker.check_all(&formulas);
-                let exported = checker.snapshot_with(kripke.clone());
-                (results, Some(exported))
-            }
-            CheckMode::Reuse { snapshot, dirty_prefixes } => {
-                let _s = soteria_obs::span("check.reuse");
-                let checker = ModelChecker::with_sharding(
-                    &kripke,
-                    self.engine,
-                    self.config.threads,
-                    self.config.fixpoint_shard_states,
-                )
-                .reuse_from(snapshot, dirty_prefixes);
+                if let Some(prev) = reuse {
+                    checker = checker.reuse_from(prev, &[]);
+                }
                 let results = checker.check_all(&formulas);
                 let exported = checker.snapshot_with(kripke.clone());
                 (results, Some(exported))
@@ -686,41 +646,21 @@ pub fn default_initial_kripke(model: &StateModel) -> Kripke {
     kripke
 }
 
-/// Rebuilds the union's Kripke structure from the snapshot's for the
-/// incremental path, returning `(prebuilt structure, sat-set projection can be
-/// total)`. Three outcomes, in order:
-///
-/// * the rebuilt union equals the base's (a no-op resubmission): the
-///   snapshot's own allocation is handed back, so the checker's reuse tier
-///   resolves on pointer equality;
-/// * the union differs in one member's block: [`Kripke::from_state_model_delta`]
-///   copies every unchanged member's states (byte-identical to a scratch
-///   build); projection is only worth attempting if the changed member's event
-///   states all existed before;
-/// * the delta preconditions fail: `None`, and the caller builds from scratch
-///   exactly as the cold path does.
-fn incremental_kripke(
+/// True when the incremental pass may check on the snapshot's own structure:
+/// the rebuilt union equals the base's (a no-op resubmission), so a scratch
+/// build would equal the snapshot's structure, and handing back the same
+/// allocation lets [`ModelChecker::reuse_from`] resolve on pointer equality.
+/// A changed union is built from scratch and checked cold instead.
+fn union_unchanged(
     union_model: &StateModel,
     base: &EnvironmentAnalysis,
     snapshot: &SatSnapshot,
-    changed_app: &str,
-) -> (Option<Arc<Kripke>>, bool) {
-    let base_kripke = snapshot.kripke();
-    if base_kripke.initial.as_slice() == [union_model.initial]
+) -> bool {
+    snapshot.kripke().initial.as_slice() == [union_model.initial]
         && union_model.name == base.union_model.name
         && union_model.initial == base.union_model.initial
         && union_model.attributes == base.union_model.attributes
         && transitions_equal(&union_model.transitions, &base.union_model.transitions)
-    {
-        return (Some(base_kripke.clone()), true);
-    }
-    match Kripke::from_state_model_delta(base_kripke, union_model, changed_app) {
-        Some((mut kripke, all_in_base)) => {
-            kripke.initial = vec![union_model.initial];
-            (Some(Arc::new(kripke)), all_in_base)
-        }
-        None => (None, true),
-    }
 }
 
 /// Value equality of two transition lists, short-cutting on shared labels: the

@@ -6,16 +6,17 @@
 //! step's satisfaction-set snapshot, and app-level edit chains where each union is
 //! rebuilt by delta against the previous one. The same agreements are pinned on
 //! the corpus: the full P.1–P.30 sweep of the running examples and the MalIoT
-//! suite, and an edit of market G.3 re-verified incrementally.
+//! suite, and every edit variant of market G.3 re-verified incrementally.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use soteria::{default_initial_kripke, AppAnalysis, Soteria};
-use soteria_bench::analyze_all;
+use soteria_bench::{analyze_all, g3_variant_source};
 use soteria_checker::{Ctl, Engine, Kripke, LegacyModelChecker, ModelChecker};
 use soteria_corpus::{all_market_apps, maliot_groups, maliot_suite, market_groups, running};
 use soteria_model::{union_models, union_models_delta, StateModel, UnionOptions};
 use soteria_properties::{applicable_properties, formula, AppUnderTest, DeviceContext};
+use std::sync::Arc;
 
 const ATOMS: [&str; 4] = ["p", "q", "r", "s"];
 
@@ -166,9 +167,10 @@ proptest! {
 
     /// Incremental re-verification fuzz: a chain of random structure edits, each
     /// step re-checked with sat-set reuse from the previous step's snapshot, must
-    /// match fresh Symbolic, Explicit, and Legacy checkers at every step — with
-    /// both honest and empty dirty-prefix hints (a hint is never a soundness
-    /// input), and edits that sometimes change nothing (the identical tier).
+    /// match fresh Symbolic, Explicit, and Legacy checkers at every step. Edits
+    /// sometimes change nothing (the identical structure, where every set is
+    /// reused); a changed structure stays cold. Each step passes either every
+    /// atom or none as the dirty-prefix argument, which `reuse_from` ignores.
     #[test]
     fn snapshot_reuse_agrees_with_fresh_engines_across_edit_sequences(
         (n, seed) in (2usize..96, 0usize..1_000_000)
@@ -398,15 +400,30 @@ fn assert_environments_equal(
     );
 }
 
-/// Incremental re-verification on the corpus' largest group, market G.3. The
-/// snapshot-exporting cold pass equals the batch pass; after TP21's handler
-/// flips `detector_outlet.off()` to `.on()`, the delta union and the
-/// incremental re-analysis equal the from-scratch ones; an unchanged
-/// resubmission reproduces the batch result; and the word-sharded fixpoints
-/// equal the sequential ones at 1, 2, 4 and 8 shard threads.
+/// Incremental re-verification on the corpus' largest group, market G.3,
+/// through every edit variant the benchmark's update stream reaches. The
+/// snapshot-exporting cold pass equals the batch pass. A chain of
+/// single-member edits then visits all seven non-original TP21/TP22 toggle
+/// combinations, each pass seeded from the previous pass's base and snapshot
+/// as `serve-edit`'s updates are, and ends with a nonce-only resubmission.
+/// Every delta union and every pass equals its from-scratch counterpart. A
+/// changed union gets a fresh structure; the nonce-only pass keeps the
+/// snapshot's. An unchanged resubmission against the cold base reproduces the
+/// batch result, and the word-sharded fixpoints equal the sequential ones at
+/// 1, 2, 4 and 8 shard threads.
 #[test]
 fn g3_incremental_reverification_matches_scratch() {
-    const EDITED: &str = "TP21";
+    /// `(member, variant)` steps from the originals, one member per step:
+    /// TP21#1,TP22#0 -> 1,1 -> 0,1 -> 0,2 -> 1,2 -> 1,3 -> 0,3.
+    const CHAIN: &[(&str, u32)] = &[
+        ("TP21", 1),
+        ("TP22", 1),
+        ("TP21", 0),
+        ("TP22", 2),
+        ("TP21", 1),
+        ("TP22", 3),
+        ("TP21", 0),
+    ];
     let soteria = Soteria::new();
     let market = all_market_apps();
     let g3 = market_groups().into_iter().find(|g| g.id == "G.3").expect("G.3");
@@ -422,22 +439,42 @@ fn g3_incremental_reverification_matches_scratch() {
     assert_environments_equal("cold snapshot pass", &cold, &batch);
     let snapshot = snapshot.expect("G.3 has checkable properties");
 
-    let idx = g3.members.iter().position(|m| *m == EDITED).expect("TP21 in G.3");
-    let edited_source = source_of(EDITED).replace("detector_outlet.off()", "detector_outlet.on()");
-    assert_ne!(&edited_source, source_of(EDITED), "the edit changes TP21");
-    let mut edited = analyses.clone();
-    edited[idx] = soteria.analyze_app(EDITED, &edited_source).expect("edit parses");
-    let edited_refs: Vec<&AppAnalysis> = edited.iter().collect();
-    let scratch = soteria.analyze_environment_refs("G.3", &edited_refs);
-    let models: Vec<&StateModel> = edited.iter().map(|a| &a.model).collect();
-    let delta = union_models_delta(&cold.union_model, &models, idx, &UnionOptions::default())
-        .expect("a same-domain edit takes the delta union");
-    assert_eq!(delta.transitions, scratch.union_model.transitions, "delta union");
-    let (incremental, next) =
-        soteria.analyze_environment_incremental("G.3", &edited_refs, &cold, &snapshot, idx);
-    assert_environments_equal("TP21 edit", &incremental, &scratch);
-    assert!(next.is_some(), "the incremental pass re-exports a snapshot");
+    let mut current = analyses.clone();
+    let (mut base, mut base_snapshot) = (cold.clone(), snapshot.clone());
+    let steps = CHAIN.iter().map(|&(member, mask)| (member, mask, false));
+    let nonce_only = std::iter::once(("TP21", 0, true));
+    for (step, (member, mask, nonce)) in steps.chain(nonce_only).enumerate() {
+        let idx = g3.members.iter().position(|m| *m == member).expect("member in G.3");
+        let mut source = g3_variant_source(member, source_of(member), mask);
+        if nonce {
+            source.push_str("// edit nonce 1\n");
+        }
+        current[idx] = soteria.analyze_app(member, &source).expect("edit parses");
+        let edited_refs: Vec<&AppAnalysis> = current.iter().collect();
+        let context = format!("step {step}: {member}#{mask}{}", if nonce { " nonce" } else { "" });
+        let scratch = soteria.analyze_environment_refs("G.3", &edited_refs);
+        let models: Vec<&StateModel> = current.iter().map(|a| &a.model).collect();
+        let delta = union_models_delta(&base.union_model, &models, idx, &UnionOptions::default())
+            .unwrap_or_else(|| panic!("{context}: a same-domain edit takes the delta union"));
+        assert_eq!(delta.transitions, scratch.union_model.transitions, "{context}: delta union");
+        let (incremental, next) = soteria.analyze_environment_incremental(
+            "G.3",
+            &edited_refs,
+            &base,
+            &base_snapshot,
+            idx,
+        );
+        assert_environments_equal(&context, &incremental, &scratch);
+        let next = next.expect("the incremental pass re-exports a snapshot");
+        assert_eq!(
+            Arc::ptr_eq(next.kripke(), base_snapshot.kripke()),
+            nonce,
+            "{context}: only an unchanged union keeps the snapshot's structure"
+        );
+        (base, base_snapshot) = (incremental, next);
+    }
 
+    let idx = g3.members.iter().position(|m| *m == "TP21").expect("TP21 in G.3");
     let (noop, _) = soteria.analyze_environment_incremental("G.3", &refs, &cold, &snapshot, idx);
     assert_environments_equal("unchanged resubmission", &noop, &batch);
 

@@ -2,15 +2,15 @@
 //!
 //! `Kripke::from_state_model` must build a structure struct-equal to
 //! `soteria_checker::kripke::reference::from_state_model` in every field: atom
-//! order, state numbering, incoming labels, recorded transition targets, both
-//! CSRs and the naming tables. The delta builder, `SatSnapshot` reuse and the
-//! golden verdicts all rely on that. It is checked on every model the corpus
-//! pipeline checks, and on random hand-built models that exercise the label
-//! classes: equal labels in distinct allocations, one event under two apps,
-//! duplicate transitions, deadlocked states and unsorted sources.
+//! order, state numbering, incoming labels, both CSRs and the naming tables.
+//! `SatSnapshot` reuse and the golden verdicts rely on that. It is checked on
+//! every model the corpus pipeline checks, and on random hand-built models that
+//! exercise the label classes: equal labels in distinct allocations, one event
+//! under two apps, duplicate transitions, deadlocked states and unsorted sources.
 
 use proptest::prelude::*;
-use soteria::{default_initial_kripke, IngestedApp, Soteria};
+use soteria::{IngestedApp, Soteria};
+use soteria_bench::{g3_variant_source, G3_EDIT_TOGGLES};
 use soteria_analysis::{PathCondition, TransitionSpec};
 use soteria_capability::{AttributeValue, Event, EventKind};
 use soteria_checker::kripke::reference;
@@ -98,37 +98,16 @@ fn app5_reflection_free_recheck_model_matches_the_reference() {
 
 /// The same-domain edits the benchmark's update stream makes to G.3 members:
 /// every toggle subset of TP21 and TP22, each in the otherwise unchanged G.3.
-/// Each edited union's scratch structure matches the reference, and the delta
-/// builder seeded from unedited G.3's structure equals `default_initial_kripke`
-/// of the edited union in every field.
+/// Each edited union's structure matches the reference.
 #[test]
 fn g3_edit_variants_match_the_reference() {
-    const EDITS: &[(&str, &[(&str, &str)])] = &[
-        ("TP21", &[("detector_outlet.off()", "detector_outlet.on()")]),
-        (
-            "TP22",
-            &[
-                ("heater_switch.on()", "heater_switch.off()"),
-                ("coffee_switch.on()", "coffee_switch.off()"),
-            ],
-        ),
-    ];
     let soteria = Soteria::new();
     let apps = all_market_apps();
     let g3 = market_groups().into_iter().find(|g| g.id == "G.3").expect("G.3");
-    let unedited: Vec<(&str, &str)> =
-        g3.members.iter().map(|id| (*id, source_of(&apps, id))).collect();
-    let base = default_initial_kripke(&group_union(&soteria, "G.3", &unedited));
-    for &(member, toggles) in EDITS {
+    for &(member, toggles) in G3_EDIT_TOGGLES {
         assert!(g3.members.contains(&member), "{member} is a G.3 member");
         for mask in 1u32..1 << toggles.len() {
-            let mut edited = source_of(&apps, member).to_string();
-            for (i, (from, to)) in toggles.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    assert!(edited.contains(from), "{member} lacks {from}");
-                    edited = edited.replace(from, to);
-                }
-            }
+            let edited = g3_variant_source(member, source_of(&apps, member), mask);
             let members: Vec<(&str, &str)> = g3
                 .members
                 .iter()
@@ -137,13 +116,6 @@ fn g3_edit_variants_match_the_reference() {
             let union = group_union(&soteria, "G.3", &members);
             let context = format!("G.3 with {member} variant {mask}");
             assert_matches_reference(&context, &union);
-            let (mut delta, _) = Kripke::from_state_model_delta(&base, &union, member)
-                .unwrap_or_else(|| panic!("{context}: delta builder declined"));
-            delta.initial = vec![union.initial];
-            assert!(
-                delta == default_initial_kripke(&union),
-                "{context}: delta structure differs from the scratch build"
-            );
         }
     }
 }

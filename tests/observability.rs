@@ -235,12 +235,13 @@ fn cancellation_timeout_and_drain_leave_closed_well_formed_spans() {
     assert_eq!(ingest_stages, 2, "expected ingest stages for wedged+after only");
 }
 
-/// Kripke construction is visible in traces on both paths: a cold `env` job
-/// records `kripke.build`, and an `update` whose edit changes the member's
-/// model records `kripke.delta` in the re-verified group's trace, beside
-/// `union.delta`.
+/// The incremental routing is visible in traces. A cold `env` job records
+/// `kripke.build`. An `update` whose edit changes the member's model records
+/// `union.delta`, `kripke.build` and `check.cold` in the re-verified group's
+/// trace. A nonce-only `update` leaves the union as it was, so the group's
+/// trace records `union.delta` and `check.reuse` but no `kripke.build`.
 #[test]
-fn env_then_update_traces_both_kripke_builders() {
+fn env_then_update_traces_the_incremental_routing() {
     let _lock = obs_lock();
     let _scope = ObsScope::enabled();
     let service = service_with_workers(2);
@@ -254,29 +255,38 @@ fn env_then_update_traces_both_kripke_builders() {
         .expect("admitted")
         .wait()
         .expect("group analyzes");
+    service.quiesce();
+    let spans = soteria_obs::drain_spans();
+    assert!(spans.iter().any(|s| s.label == "kripke.build"), "env job recorded no kripke.build");
+
+    // Runs one update and returns the labels in the re-verified group's trace,
+    // the one trace holding its `union.delta` span.
+    let update = |source: &str| -> Vec<&'static str> {
+        let (app, envs) = service.resubmit("WaterLeakDetector", source).expect("resubmitted");
+        app.wait().expect("edited member analyzes");
+        assert_eq!(envs.len(), 1, "one resident group contains the member");
+        envs[0].wait().expect("group re-verifies");
+        service.quiesce();
+        let spans = soteria_obs::drain_spans();
+        assert_well_formed("update", &spans);
+        let groups: Vec<u64> =
+            spans.iter().filter(|s| s.label == "union.delta").map(|s| s.trace).collect();
+        assert_eq!(groups.len(), 1, "update recorded one union.delta span");
+        assert_ne!(groups[0], 0, "union.delta outside any trace");
+        spans.iter().filter(|s| s.trace == groups[0]).map(|s| s.label).collect()
+    };
     let source = soteria_corpus::find_app("WaterLeakDetector").expect("corpus app").1;
     let edited = source.replace("valve_device.close()", "valve_device.open()");
     assert_ne!(edited, source, "the edit changes the member");
-    let (app, envs) = service.resubmit("WaterLeakDetector", &edited).expect("resubmitted");
-    app.wait().expect("edited member analyzes");
-    assert_eq!(envs.len(), 1, "one resident group contains the member");
-    envs[0].wait().expect("group re-verifies");
-    assert!(service.stats().env_incremental >= 1, "update skipped the incremental path");
-    service.quiesce();
-
-    let spans = soteria_obs::drain_spans();
-    assert_well_formed("env then update", &spans);
-    let traces_of = |label: &str| -> Vec<u64> {
-        spans.iter().filter(|s| s.label == label).map(|s| s.trace).collect()
-    };
-    assert!(!traces_of("kripke.build").is_empty(), "env job recorded no kripke.build span");
-    let delta = traces_of("kripke.delta");
-    assert!(!delta.is_empty(), "update recorded no kripke.delta span");
-    let union_delta = traces_of("union.delta");
-    assert!(
-        delta.iter().any(|t| *t != 0 && union_delta.contains(t)),
-        "kripke.delta and union.delta do not share the re-verified group's trace"
-    );
+    let changed = update(&edited);
+    for label in ["kripke.build", "check.cold"] {
+        assert!(changed.contains(&label), "a model-changing update recorded no {label}");
+    }
+    assert!(!changed.contains(&"check.reuse"), "a changed union reused sat sets");
+    let nonce_only = update(&format!("{edited}// edit nonce 1\n"));
+    assert!(nonce_only.contains(&"check.reuse"), "a nonce-only update recorded no check.reuse");
+    assert!(!nonce_only.contains(&"kripke.build"), "a nonce-only update rebuilt the structure");
+    assert!(service.stats().env_incremental >= 2, "update skipped the incremental path");
 }
 
 /// With the fake clock, a histogram snapshot is an exact, reproducible value:
