@@ -26,7 +26,7 @@ pub struct AnalysisConfig {
     /// Hard cap on the number of concurrently tracked paths per handler.
     pub max_paths: usize,
     /// Worker threads for the analysis fan-out sites (batch app analysis, property
-    /// sweeps, union lifts). `0` means auto: the `SOTERIA_THREADS` environment
+    /// sweeps). `0` means auto: the `SOTERIA_THREADS` environment
     /// variable if set, otherwise the machine's available parallelism. Results are
     /// byte-identical at every value.
     pub threads: usize,

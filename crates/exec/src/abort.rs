@@ -17,7 +17,7 @@
 //!
 //! Handles propagate implicitly through a thread-local ([`with_abort`] installs,
 //! [`current_abort`] observes), so deep callees — the model checker's fixpoint
-//! loops, the union lift's partition workers — poll without every intermediate
+//! loops, the union lift's per-edge loop — poll without every intermediate
 //! signature changing. The pool's scoped maps re-install the caller's handle on
 //! their helper threads, so a parallel stage aborts all of its workers, not just
 //! the thread that happened to carry the flag.

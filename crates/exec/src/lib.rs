@@ -1,10 +1,9 @@
 //! Dependency-free parallel execution layer for the analysis fan-out sites.
 //!
 //! Soteria's hot loops — the per-app corpus sweep, the per-group property sweeps,
-//! and the union model's free sub-product enumeration — are all *independent
-//! iterations over immutable inputs*: the analyzer borrows `&self`, the checker
-//! borrows an immutable `Kripke`, and the union builder reads frozen per-app
-//! models. This crate provides the primitives they share:
+//! and the checker's word-sharded fixpoints — are all *independent iterations
+//! over immutable inputs*: the analyzer borrows `&self` and the checker borrows
+//! an immutable `Kripke`. This crate provides the primitives they share:
 //!
 //! * [`WorkerPool`] — a persistent pool of long-lived worker threads fed by an
 //!   injector queue: [`WorkerPool::spawn`] for fire-and-forget `'static` jobs
@@ -92,7 +91,7 @@ pub fn resolve_shard_states(configured: usize, default: usize) -> usize {
 thread_local! {
     /// True on parallel worker threads (pool workers, scoped workers, and callers
     /// participating in a pooled map). Nested fan-out sites (a batch analysis
-    /// worker reaching a parallel union lift or property sweep) resolve to
+    /// worker reaching a parallel property sweep) resolve to
     /// sequential execution instead of oversubscribing the machine with up to
     /// `threads²` live workers.
     static IN_PAR_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -130,7 +129,7 @@ impl Drop for ParWorkerGuard {
 /// the machine, and inner sites run sequentially (results are thread-count
 /// invariant, so only scheduling changes). A top-level *sequential* call
 /// (`threads == 1` never spawns) does not mark the caller, so e.g. a lone
-/// `analyze_environment` still parallelizes its union lift.
+/// `analyze_environment` still parallelizes its property sweep.
 pub fn resolve_threads(configured: usize) -> usize {
     if in_par_worker() {
         return 1;

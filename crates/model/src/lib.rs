@@ -13,8 +13,7 @@
 //!   index arithmetic;
 //! * [`build_state_model`] — construction from the analysis crate's transition
 //!   specifications and property abstraction;
-//! * [`union_models`] — Algorithm 2, the multi-app union model (and
-//!   [`union_models_delta`], its single-member-edit incremental variant);
+//! * [`union_models`] — Algorithm 2, the multi-app union model;
 //! * [`render_dot`] — GraphViz output equivalent to the paper's Fig. 9 visualisation.
 //!
 //! # The packed fast path
@@ -30,7 +29,9 @@
 //!   `from_id + Σ (new_digit − old_digit) · stride` — no state maps, no hashing.
 //! * **Union** ([`union_models`]): a lifted edge fixes the digits of the contributing
 //!   app's attributes and enumerates only the free attributes' sub-product; the
-//!   destination offset is a constant per edge. Complexity drops from
+//!   destination offset is a constant per edge. Each member's free offsets are
+//!   computed once, and transitions that compile to the same
+//!   `(base, offset, class)` edge lift once. Complexity drops from
 //!   `O(edges × union states)` to `O(edges × free sub-product)`.
 //! * **Checking** (`soteria-checker`): atom labels are bitset rows over the state
 //!   universe with a hashed atom index, so `Ctl::Atom` satisfaction is a row clone.
@@ -54,4 +55,6 @@ pub use dot::render_dot;
 pub use model::{Nondeterminism, StateId, StateModel, Transition, TransitionLabel};
 pub use schema::{AttrId, PackedState, StateSchema, ValueId};
 pub use state::{label_fragment, AttrKey, State};
-pub use union::{union_models, union_models_delta, UnionOptions};
+#[doc(hidden)]
+pub use union::union_models_delta;
+pub use union::{union_models, UnionOptions};

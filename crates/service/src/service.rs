@@ -999,9 +999,9 @@ impl RegistryEntry {
 /// The incremental-reverification base retained per environment *group name*:
 /// the last successful analysis plus the checker's exported satisfaction sets.
 /// When the group is resubmitted with exactly one member's key changed, the
-/// union is rebuilt by `union_models_delta` against `analysis.union_model`, and
-/// an unchanged union is checked from `snapshot`'s memo — byte-identical to a
-/// cold run, just cheaper (see `Soteria::analyze_environment_incremental`). One entry
+/// union is rebuilt from scratch, and one equal to `analysis.union_model` is
+/// checked from `snapshot`'s memo — byte-identical to a cold run, just cheaper
+/// (see `Soteria::analyze_environment_incremental`). One entry
 /// per live group name; overwritten on every successful environment job.
 struct EnvBase {
     member_names: Vec<String>,
@@ -2109,8 +2109,7 @@ impl Service {
             // Incremental base: the last successful run of this group name with
             // the same members in order and exactly one member key differing.
             // Zero differing keys means the env cache was evicted (rerun cold);
-            // two or more voids the single-edit guarantee the delta union
-            // relies on.
+            // two or more is not a single-member edit.
             let base = {
                 let bases = inner.env_bases.lock();
                 bases.get(&job.name).and_then(|b| {

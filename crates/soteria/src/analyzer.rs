@@ -12,7 +12,7 @@ use soteria_checker::{
 use soteria_ir::AppIr;
 use soteria_lang::ParseError;
 use soteria_model::{
-    build_state_model, union_models, union_models_delta, BuildOptions, StateModel, Transition,
+    build_state_model, union_models, BuildOptions, StateModel, Transition, TransitionLabel,
     UnionOptions,
 };
 use soteria_properties::{
@@ -34,10 +34,10 @@ enum EnvMode<'a> {
     /// From scratch on a single memo-sharing checker, exporting its sat sets
     /// (the service's cold path: first analysis of a resident group).
     Snapshot,
-    /// One member changed: delta-union against the cached base model. An
-    /// unchanged union is checked on the snapshot's own structure, reusing every
-    /// sat set; a changed one is built from scratch and checked cold. Either
-    /// way a fresh snapshot is exported.
+    /// One member changed: the union is rebuilt from scratch and compared with
+    /// the cached base model's. An unchanged union is checked on the snapshot's
+    /// own structure, reusing every sat set; a changed one gets a scratch
+    /// Kripke build and a cold check. Either way a fresh snapshot is exported.
     Incremental {
         base: &'a EnvironmentAnalysis,
         snapshot: &'a SatSnapshot,
@@ -253,16 +253,15 @@ impl Soteria {
     }
 
     /// Re-analyzes an environment after exactly one member changed, reusing a
-    /// cached base. The union model is rebuilt by [`union_models_delta`]
-    /// (re-lifting only the changed member and splicing the rest from `base`),
-    /// falling back to a scratch union when its guarantees fail (changed
-    /// attribute domains). If the union equals the base's (an edit that left
-    /// the member's model as it was), the check runs on the snapshot's own
-    /// structure and reuses every sat set ([`ModelChecker::reuse_from`]).
-    /// Otherwise the Kripke structure is built from scratch and checked cold,
-    /// which is faster than patching the previous structure. The result is
-    /// always byte-identical to [`Soteria::analyze_environment_refs`] on the
-    /// same members. Returns the fresh analysis and the next snapshot.
+    /// cached base. The union model is rebuilt from scratch, which is faster
+    /// than splicing the edit into the base's union. If it equals the base's
+    /// (an edit that left the member's model as it was), the check runs on the
+    /// snapshot's own structure and reuses every sat set
+    /// ([`ModelChecker::reuse_from`]). Otherwise the Kripke structure is built
+    /// from scratch and checked cold, which is faster than patching the
+    /// previous structure. The result is always byte-identical to
+    /// [`Soteria::analyze_environment_refs`] on the same members. Returns the
+    /// fresh analysis and the next snapshot.
     pub fn analyze_environment_incremental(
         &self,
         group_name: &str,
@@ -295,19 +294,8 @@ impl Soteria {
         };
         let started = Instant::now();
         let models: Vec<&StateModel> = apps.iter().map(|a| &a.model).collect();
-        // Thread the configured worker count into the union lift (Algorithm 2's free
-        // sub-product enumeration parallelizes; the result is byte-identical).
-        let union_options =
-            UnionOptions { threads: self.config.threads, ..UnionOptions::default() };
-        let union_model = match &mode {
-            EnvMode::Incremental { base, changed_member, .. }
-                if base.union_model.name == group_name =>
-            {
-                union_models_delta(&base.union_model, &models, *changed_member, &union_options)
-                    .unwrap_or_else(|| union_models(group_name, &models, &union_options))
-            }
-            _ => union_models(group_name, &models, &union_options),
-        };
+        let union_options = UnionOptions::default();
+        let union_model = union_models(group_name, &models, &union_options);
         let union_time = started.elapsed();
 
         let verification_started = Instant::now();
@@ -451,9 +439,7 @@ impl Soteria {
         members: &[&AppAnalysis],
     ) -> EnvironmentAnalysis {
         let models: Vec<&StateModel> = members.iter().map(|a| &a.model).collect();
-        let union_options =
-            UnionOptions { threads: self.config.threads, ..UnionOptions::default() };
-        let union_model = union_models(&stored.name, &models, &union_options);
+        let union_model = union_models(&stored.name, &models, &UnionOptions::default());
         EnvironmentAnalysis {
             name: stored.name,
             app_names: stored.app_names,
@@ -663,15 +649,20 @@ fn union_unchanged(
         && transitions_equal(&union_model.transitions, &base.union_model.transitions)
 }
 
-/// Value equality of two transition lists, short-cutting on shared labels: the
-/// delta union splices unchanged members' transitions by `Arc` handle, so for a
-/// no-op resubmission all but one member's block compares by pointer.
+/// Value equality of two transition lists. Consecutive transitions of a lifted
+/// block share one label `Arc`, so each run of equal `(left, right)` handles
+/// compares its labels once.
 fn transitions_equal(a: &[Transition], b: &[Transition]) -> bool {
+    let mut run: Option<(&Arc<TransitionLabel>, &Arc<TransitionLabel>)> = None;
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
-            x.from == y.from
-                && x.to == y.to
-                && (Arc::ptr_eq(&x.label, &y.label) || x.label == y.label)
+            if x.from != y.from || x.to != y.to {
+                return false;
+            }
+            let in_run =
+                run.is_some_and(|(l, r)| Arc::ptr_eq(l, &x.label) && Arc::ptr_eq(r, &y.label));
+            run = Some((&x.label, &y.label));
+            in_run || x.label == y.label
         })
 }
 
@@ -847,6 +838,42 @@ mod tests {
         let (warm, _) = soteria.analyze_environment_incremental("G", &refs, &cold, &snapshot, 1);
         assert_eq!(warm.violations, batch.violations);
         assert_eq!(warm.union_model.transitions, batch.union_model.transitions);
+    }
+
+    #[test]
+    fn transitions_equal_compares_every_run_of_labels() {
+        const SWITCH_FOLLOWER: &str = r#"
+            definition(name: "Switch-Follower")
+            preferences {
+                section("d") {
+                    input "motion", "capability.motionSensor"
+                    input "sw", "capability.switch"
+                }
+            }
+            def installed() {
+                subscribe(motion, "motion.active", h)
+            }
+            def h(evt) {
+                sw.on()
+            }
+        "#;
+        let soteria = Soteria::new();
+        let wld = soteria.analyze_app("wld", WATER_LEAK).unwrap();
+        let follower = soteria.analyze_app("follower", SWITCH_FOLLOWER).unwrap();
+        let members = [&wld.model, &follower.model];
+        let left = union_models("G", &members, &UnionOptions::default());
+        let right = union_models("G", &members, &UnionOptions::default());
+        assert!(transitions_equal(&left.transitions, &right.transitions));
+        // Edit a label inside a run of shared handles, keeping every
+        // `(from, to)`: only comparing the new pair's labels tells the unions
+        // apart.
+        let i = (1..right.transitions.len())
+            .find(|&i| Arc::ptr_eq(&right.transitions[i - 1].label, &right.transitions[i].label))
+            .expect("a lifted block longer than one transition");
+        let mut edited = right.clone();
+        let label = &mut edited.transitions[i].label;
+        *label = Arc::new(TransitionLabel { handler: "edited".into(), ..(**label).clone() });
+        assert!(!transitions_equal(&left.transitions, &edited.transitions));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! the frontier-based Symbolic engine, the per-state Explicit engine, and the frozen
 //! pre-CSR `LegacyModelChecker` baseline — including under incremental
 //! re-verification: random *edit sequences* where each step reuses the previous
-//! step's satisfaction-set snapshot, and app-level edit chains where each union is
-//! rebuilt by delta against the previous one. The same agreements are pinned on
+//! step's satisfaction-set snapshot, and app-level edit chains where each rebuilt
+//! union is checked against the seed union oracle. The same agreements are pinned on
 //! the corpus: the full P.1–P.30 sweep of the running examples and the MalIoT
 //! suite, and every edit variant of market G.3 re-verified incrementally.
 
@@ -14,7 +14,8 @@ use soteria::{default_initial_kripke, AppAnalysis, Soteria};
 use soteria_bench::{analyze_all, g3_variant_source};
 use soteria_checker::{Ctl, Engine, Kripke, LegacyModelChecker, ModelChecker};
 use soteria_corpus::{all_market_apps, maliot_groups, maliot_suite, market_groups, running};
-use soteria_model::{union_models, union_models_delta, StateModel, UnionOptions};
+use soteria_model::legacy::union_models_legacy;
+use soteria_model::{union_models, StateModel, UnionOptions};
 use soteria_properties::{applicable_properties, formula, AppUnderTest, DeviceContext};
 use std::sync::Arc;
 
@@ -212,8 +213,8 @@ proptest! {
 
 /// A tiny app over fixed devices whose handler behaviour is one of four
 /// variants — so an "edit" changes one member's transitions while its
-/// attribute domains stay put (the case the delta union splices) or, when the
-/// variant drops a device action, shrinks them (the case it must refuse).
+/// attribute domains stay put or, when the variant drops a device action,
+/// shrinks them.
 fn member_source(name: &str, variant: u64) -> String {
     let body = match variant % 4 {
         0 => "valve_device.close()",
@@ -239,8 +240,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// App-level edit-sequence fuzz: random chains of single-member edits over a
-    /// three-app group. At every step the delta union must be byte-identical to
-    /// the from-scratch union (or decline), and the incremental environment
+    /// three-app group. At every step the union must be byte-identical to the
+    /// seed oracle `union_models_legacy`, and the incremental environment
     /// verdicts — seeded from the previous step's snapshot — must be
     /// byte-identical to a from-scratch analysis under both engines.
     #[test]
@@ -274,20 +275,17 @@ proptest! {
                     .analyze_app(names[idx], &member_source(names[idx], variants[idx]))
                     .expect("parses");
 
-                // The delta union alone: byte-identical to scratch, or declined.
+                // The scratch union alone: byte-identical to the seed oracle.
                 let models: Vec<&soteria_model::StateModel> =
                     analyses.iter().map(|a| &a.model).collect();
                 let options = UnionOptions::default();
                 let scratch_union = union_models("G", &models, &options);
-                if let Some(delta) =
-                    union_models_delta(&base.union_model, &models, idx, &options)
-                {
-                    prop_assert_eq!(
-                        &delta.transitions, &scratch_union.transitions,
-                        "delta union diverges at step {} (member {})", step, idx
-                    );
-                    prop_assert_eq!(&delta.attributes, &scratch_union.attributes);
-                }
+                let legacy_union = union_models_legacy("G", &models, &options);
+                prop_assert_eq!(
+                    &scratch_union.transitions, &legacy_union.transitions,
+                    "union diverges from the seed oracle at step {} (member {})", step, idx
+                );
+                prop_assert_eq!(&scratch_union.attributes, &legacy_union.attributes);
 
                 // The full incremental re-analysis against a from-scratch one.
                 let refs: Vec<&soteria::AppAnalysis> = analyses.iter().collect();
@@ -406,11 +404,11 @@ fn assert_environments_equal(
 /// single-member edits then visits all seven non-original TP21/TP22 toggle
 /// combinations, each pass seeded from the previous pass's base and snapshot
 /// as `serve-edit`'s updates are, and ends with a nonce-only resubmission.
-/// Every delta union and every pass equals its from-scratch counterpart. A
-/// changed union gets a fresh structure; the nonce-only pass keeps the
-/// snapshot's. An unchanged resubmission against the cold base reproduces the
-/// batch result, and the word-sharded fixpoints equal the sequential ones at
-/// 1, 2, 4 and 8 shard threads.
+/// Every pass equals its from-scratch counterpart. A changed union gets a
+/// fresh structure; the nonce-only pass keeps the snapshot's. An unchanged
+/// resubmission against the cold base reproduces the batch result, and the
+/// word-sharded fixpoints equal the sequential ones at 1, 2, 4 and 8 shard
+/// threads.
 #[test]
 fn g3_incremental_reverification_matches_scratch() {
     /// `(member, variant)` steps from the originals, one member per step:
@@ -453,10 +451,6 @@ fn g3_incremental_reverification_matches_scratch() {
         let edited_refs: Vec<&AppAnalysis> = current.iter().collect();
         let context = format!("step {step}: {member}#{mask}{}", if nonce { " nonce" } else { "" });
         let scratch = soteria.analyze_environment_refs("G.3", &edited_refs);
-        let models: Vec<&StateModel> = current.iter().map(|a| &a.model).collect();
-        let delta = union_models_delta(&base.union_model, &models, idx, &UnionOptions::default())
-            .unwrap_or_else(|| panic!("{context}: a same-domain edit takes the delta union"));
-        assert_eq!(delta.transitions, scratch.union_model.transitions, "{context}: delta union");
         let (incremental, next) = soteria.analyze_environment_incremental(
             "G.3",
             &edited_refs,

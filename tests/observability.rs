@@ -236,10 +236,11 @@ fn cancellation_timeout_and_drain_leave_closed_well_formed_spans() {
 }
 
 /// The incremental routing is visible in traces. A cold `env` job records
-/// `kripke.build`. An `update` whose edit changes the member's model records
-/// `union.delta`, `kripke.build` and `check.cold` in the re-verified group's
-/// trace. A nonce-only `update` leaves the union as it was, so the group's
-/// trace records `union.delta` and `check.reuse` but no `kripke.build`.
+/// `kripke.build`. Every `update` rebuilds the union from scratch (one
+/// `union.build` in the re-verified group's trace, no `union.delta`). One whose
+/// edit changes the member's model records `kripke.build` and `check.cold`. A
+/// nonce-only `update` leaves the union as it was, so the group's trace
+/// records `check.reuse` but no `kripke.build`.
 #[test]
 fn env_then_update_traces_the_incremental_routing() {
     let _lock = obs_lock();
@@ -260,7 +261,7 @@ fn env_then_update_traces_the_incremental_routing() {
     assert!(spans.iter().any(|s| s.label == "kripke.build"), "env job recorded no kripke.build");
 
     // Runs one update and returns the labels in the re-verified group's trace,
-    // the one trace holding its `union.delta` span.
+    // the one trace holding a `union.build` span.
     let update = |source: &str| -> Vec<&'static str> {
         let (app, envs) = service.resubmit("WaterLeakDetector", source).expect("resubmitted");
         app.wait().expect("edited member analyzes");
@@ -269,10 +270,11 @@ fn env_then_update_traces_the_incremental_routing() {
         service.quiesce();
         let spans = soteria_obs::drain_spans();
         assert_well_formed("update", &spans);
+        assert!(!spans.iter().any(|s| s.label == "union.delta"), "update recorded a union.delta");
         let groups: Vec<u64> =
-            spans.iter().filter(|s| s.label == "union.delta").map(|s| s.trace).collect();
-        assert_eq!(groups.len(), 1, "update recorded one union.delta span");
-        assert_ne!(groups[0], 0, "union.delta outside any trace");
+            spans.iter().filter(|s| s.label == "union.build").map(|s| s.trace).collect();
+        assert_eq!(groups.len(), 1, "update recorded one union.build span");
+        assert_ne!(groups[0], 0, "union.build outside any trace");
         spans.iter().filter(|s| s.trace == groups[0]).map(|s| s.label).collect()
     };
     let source = soteria_corpus::find_app("WaterLeakDetector").expect("corpus app").1;

@@ -2,10 +2,11 @@
 //! must be semantically identical to the preserved seed implementations in
 //! `soteria_model::legacy` — same state spaces, same transition sets, and the same
 //! model-checking verdicts — on the running examples, the MalIoT ground-truth apps,
-//! and the market interaction groups.
+//! the market interaction groups and G.3's benchmark edit variants.
 
 use soteria::default_initial_kripke;
 use soteria_analysis::{abstract_domains, AnalysisConfig, SymbolicExecutor};
+use soteria_bench::g3_variant_source;
 use soteria_capability::CapabilityRegistry;
 use soteria_checker::{Ctl, Engine, ModelChecker};
 use soteria_corpus::{all_market_apps, maliot_suite, market_groups, running};
@@ -159,6 +160,27 @@ fn market_group_unions_packed_matches_legacy() {
         let legacy = union_models_legacy(group.id, &refs, &options);
         assert_models_agree(group.id, &packed, &legacy);
         assert_verdicts_agree(group.id, &packed, &legacy);
+    }
+}
+
+#[test]
+fn g3_edit_variant_unions_packed_matches_legacy() {
+    // The single-member G.3 edits the `serve-edit` updates submit: TP21#1,
+    // TP22#1, TP22#2 and TP22#3, each with the other members as shipped.
+    let corpus = all_market_apps();
+    let g3 = market_groups().into_iter().find(|g| g.id == "G.3").expect("G.3");
+    let source_of = |id: &str| &corpus.iter().find(|a| a.id == id).expect("member").source;
+    let originals: Vec<StateModel> =
+        g3.members.iter().map(|id| both_models(id, source_of(id)).0).collect();
+    for (member, mask) in [("TP21", 1), ("TP22", 1), ("TP22", 2), ("TP22", 3)] {
+        let idx = g3.members.iter().position(|m| *m == member).expect("member in G.3");
+        let edited = both_models(member, &g3_variant_source(member, source_of(member), mask)).0;
+        let mut refs: Vec<&StateModel> = originals.iter().collect();
+        refs[idx] = &edited;
+        let options = UnionOptions::default();
+        let packed = union_models("G.3", &refs, &options);
+        let legacy = union_models_legacy("G.3", &refs, &options);
+        assert_models_agree(&format!("G.3 with {member}#{mask}"), &packed, &legacy);
     }
 }
 

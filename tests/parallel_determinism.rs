@@ -4,7 +4,7 @@
 //! or fans out across worker threads.
 //!
 //! Every parallel site (`Soteria::analyze_apps`, `Soteria::analyze_environments`,
-//! the sharded property sweeps, and the partitioned union lift) must reproduce
+//! and the sharded property sweeps) must reproduce
 //! the sequential output byte for byte — same `Violation` lists in the same
 //! order, same union transitions, same report text (timing lines excluded,
 //! since wall-clock is measured rather than computed). The MalIoT sweep is

@@ -323,7 +323,7 @@ fn drop_settles_outstanding_tickets_as_cancelled() {
 }
 
 /// Abort polling is free of consequence: with a never-aborted `AbortHandle`
-/// installed, every poll site in the partitioned union lift and the checker's
+/// installed, every poll site in the union lift and the checker's
 /// fixpoint loops pays the check and none fires, so the corpus' heaviest
 /// analysis, market G.3, renders byte-identically to a run with no handle.
 #[test]
