@@ -34,13 +34,12 @@ pub struct AnalysisConfig {
     /// (`soteria_checker::check_all_parallel`). `0` means auto: the
     /// `SOTERIA_SHARD_STATES` environment variable if set, otherwise
     /// `soteria_checker::PARALLEL_UNIVERSE` (2,048 states). Like `threads`,
-    /// thresholds only move work between schedules — results are byte-identical
-    /// at every value.
+    /// the threshold only moves work between schedules — results are
+    /// byte-identical at every value.
     pub property_shard_states: usize,
-    /// State-count threshold for in-formula fixpoint sharding
-    /// (`ModelChecker::with_sharding`). `0` means auto: `SOTERIA_SHARD_STATES`
-    /// if set, otherwise `soteria_checker::FIXPOINT_SHARD_STATES` (16,384
-    /// states). Byte-identical at every value.
+    /// Unused: the fixpoints are sequential. Kept only because the benchmark
+    /// harness's replay still reads it.
+    #[doc(hidden)]
     pub fixpoint_shard_states: usize,
 }
 
@@ -137,11 +136,7 @@ mod tests {
         let base = AnalysisConfig::paper();
         let threaded = AnalysisConfig { threads: 8, ..base.clone() };
         assert_eq!(base.fingerprint(), threaded.fingerprint());
-        let sharded = AnalysisConfig {
-            property_shard_states: 1,
-            fixpoint_shard_states: 1,
-            ..base.clone()
-        };
+        let sharded = AnalysisConfig { property_shard_states: 1, ..base.clone() };
         assert_eq!(base.fingerprint(), sharded.fingerprint());
         assert_ne!(base.fingerprint(), AnalysisConfig::without_esp_merge().fingerprint());
         assert_ne!(

@@ -222,6 +222,20 @@ pub fn corpus_sweep(
     (analyses, environments)
 }
 
+/// A verdict as the corpus pins write it: the reported property ids in report
+/// order, each suffixed with `?` when flagged as a possible false positive, or
+/// `-` when nothing is reported.
+pub fn verdict(violations: &[Violation]) -> String {
+    if violations.is_empty() {
+        return "-".to_string();
+    }
+    let ids: Vec<String> = violations
+        .iter()
+        .map(|v| format!("{}{}", v.property, if v.possibly_false_positive { "?" } else { "" }))
+        .collect();
+    ids.join(" ")
+}
+
 /// An app report with its measured-wall-clock line stripped — the one
 /// legitimately run-dependent line, so everything that remains must be identical
 /// at every thread count.

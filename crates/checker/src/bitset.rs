@@ -1,4 +1,4 @@
-//! Fixed-size bit sets used by the symbolic (set-based) model-checking engine.
+//! Fixed-size bit sets used by the set-based model checker.
 //!
 //! NuSMV represents state sets with BDDs; for the model sizes Soteria produces (tens
 //! to a few thousand states) packed bit vectors give the same fixpoint algorithms with
@@ -80,14 +80,6 @@ impl BitSet {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
         }
-    }
-
-    /// The backing words, exposed for the checker's sharded fixpoints: word
-    /// index `i` covers states `i * 64 .. (i + 1) * 64`, and bits beyond the
-    /// universe are always zero (the representation is canonical, which is what
-    /// makes equal sets byte-identical).
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Set complement (in place), restricted to the universe.

@@ -15,10 +15,9 @@
 //! The transition relation is stored once, in compressed-sparse-row (CSR) form, in
 //! **both** directions: [`Kripke::successors`] and [`Kripke::predecessors`] index flat
 //! `u32` target arrays through per-state offset arrays. Every consumer — the
-//! frontier fixpoints of the symbolic engine, the per-state scans of the explicit
-//! engine, and counterexample BFS — runs off the same two arrays, replacing the
-//! seed's per-state `Vec<Vec<usize>>` successor lists and the per-`ModelChecker`
-//! predecessor rebuild.
+//! checker's frontier fixpoints and its counterexample BFS — runs off the same
+//! two arrays, replacing the seed's per-state `Vec<Vec<usize>>` successor lists
+//! and the per-`ModelChecker` predecessor rebuild.
 //!
 //! State names are lazy: construction records only `(model state, incoming event)`
 //! per Kripke state plus one label fragment per `(attribute, value)` pair of the

@@ -8,20 +8,21 @@
 //!   and reverse CSR arrays, and state names formatted lazily on demand; built in
 //!   time linear in the model's transitions from interned label classes;
 //! * [`Ctl`] — CTL formula syntax with convenience builders and structural hashing;
-//! * [`ModelChecker`] — exact CTL model checking with two engines (O(V+E)
-//!   frontier/elimination fixpoints over packed bitsets, and an explicit per-state
-//!   baseline), cross-property satisfaction-set memoization with a batch
-//!   [`ModelChecker::check_all`] entry point, and counter-example extraction;
+//! * [`ModelChecker`] — exact CTL model checking with one engine: a memoized
+//!   evaluator over hash-consed formula nodes with O(V+E) frontier/elimination
+//!   fixpoints over packed bitsets, cross-property satisfaction-set sharing through
+//!   the batch [`ModelChecker::check_all`] entry point, and counter-example
+//!   extraction;
 //! * [`check_all_parallel`] — property-level fan-out: shards a batch of
 //!   independent root formulas across per-thread checkers (one sat-set memo per
-//!   shard) on large universes, byte-identical to the sequential batch
-//!   ([`check_all_parallel_with`] exposes both sharding thresholds);
+//!   shard) on large universes, byte-identical to the sequential batch;
 //! * [`SatSnapshot`] — a frozen export of one checker's memoized satisfaction
 //!   sets for incremental re-verification: a later checker over an equal
 //!   structure starts from the snapshot's memo via [`ModelChecker::reuse_from`]
 //!   instead of recomputing, byte-identically;
-//! * [`LegacyModelChecker`] — the frozen pre-CSR round-based checker, kept as the
-//!   "old" side of the engine-equivalence tests (`tests/engine_differential.rs`);
+//! * [`LegacyModelChecker`] — the frozen pre-CSR round-based checker, the one
+//!   independent checker oracle of the differential tests
+//!   (`tests/engine_differential.rs`);
 //! * [`render_smv`] — SMV-format output of models and specs for external inspection.
 
 pub mod bitset;
@@ -36,7 +37,7 @@ pub mod parallel;
 pub mod smv;
 
 pub use bitset::BitSet;
-pub use checker::{CheckResult, Engine, ModelChecker, SatSnapshot, FIXPOINT_SHARD_STATES};
+pub use checker::{CheckResult, Engine, ModelChecker, SatSnapshot};
 pub use ctl::Ctl;
 pub use kripke::Kripke;
 pub use legacy::LegacyModelChecker;

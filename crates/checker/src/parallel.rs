@@ -19,57 +19,46 @@ pub const PARALLEL_UNIVERSE: usize = 2_048;
 
 /// Checks `formulas` against `kripke` on up to `threads` workers, returning the
 /// same `Vec<CheckResult>` (order included) as
-/// `ModelChecker::new(kripke, engine).check_all(formulas)`.
+/// `ModelChecker::new(kripke).check_all(formulas)`.
 ///
 /// The formulas are split into contiguous shards, one per worker; every shard
 /// runs on its own [`ModelChecker`] so each thread has a private sat-set memo
 /// over the shared immutable structure — no locking on the checking path. Each
 /// `CheckResult` (verdict, violating-state count, counter-example trace) is
 /// deterministic per formula, so the output is byte-identical at every thread
-/// count; `threads <= 1`, a single formula, or a universe at or below
-/// [`PARALLEL_UNIVERSE`] states fall back to the sequential batch.
+/// count. `threads <= 1`, a single formula, or a universe at or below the
+/// `property_shard_states` threshold (0 = auto: `SOTERIA_SHARD_STATES` when
+/// set, else [`PARALLEL_UNIVERSE`]) fall back to the sequential batch.
 pub fn check_all_parallel(
     kripke: &Kripke,
-    engine: Engine,
-    formulas: &[Ctl],
-    threads: usize,
-) -> Vec<CheckResult> {
-    check_all_parallel_with(kripke, engine, formulas, threads, 0, 0)
-}
-
-/// [`check_all_parallel`] with both sharding thresholds explicit (0 = auto).
-///
-/// * `property_shard_states` — minimum universe for the property-level fan-out
-///   (default [`PARALLEL_UNIVERSE`], or `SOTERIA_SHARD_STATES` when set).
-/// * `fixpoint_shard_states` — the in-formula fixpoint-sharding threshold
-///   passed down to every [`ModelChecker::with_sharding`] (default
-///   [`crate::checker::FIXPOINT_SHARD_STATES`], or `SOTERIA_SHARD_STATES`).
-///
-/// The two levels compose without oversubscription: property-shard workers run
-/// with `threads = 0`, which `resolve_threads` pins to 1 on a parallel worker
-/// thread, so in-formula sharding self-disables under a property fan-out. The
-/// sequential fallback keeps the caller's thread budget, so a single huge
-/// formula (or a small batch) still shards *inside* its fixpoints.
-pub fn check_all_parallel_with(
-    kripke: &Kripke,
-    engine: Engine,
     formulas: &[Ctl],
     threads: usize,
     property_shard_states: usize,
-    fixpoint_shard_states: usize,
 ) -> Vec<CheckResult> {
-    let property_threshold =
-        soteria_exec::resolve_shard_states(property_shard_states, PARALLEL_UNIVERSE);
-    if threads <= 1 || formulas.len() <= 1 || kripke.state_count() <= property_threshold {
-        return ModelChecker::with_sharding(kripke, engine, threads, fixpoint_shard_states)
-            .check_all(formulas);
+    let threshold = soteria_exec::resolve_shard_states(property_shard_states, PARALLEL_UNIVERSE);
+    if threads <= 1 || formulas.len() <= 1 || kripke.state_count() <= threshold {
+        return ModelChecker::new(kripke).check_all(formulas);
     }
     let shard_len = formulas.len().div_ceil(threads);
     let shards: Vec<&[Ctl]> = formulas.chunks(shard_len).collect();
     let results = soteria_exec::par_map(&shards, threads, |shard| {
-        ModelChecker::with_sharding(kripke, engine, 0, fixpoint_shard_states).check_all(shard)
+        ModelChecker::new(kripke).check_all(shard)
     });
     results.concat()
+}
+
+/// [`check_all_parallel`]; the engine and fixpoint-threshold arguments are
+/// ignored. Kept only because the benchmark harness's replay still calls it.
+#[doc(hidden)]
+pub fn check_all_parallel_with(
+    kripke: &Kripke,
+    _: Engine,
+    formulas: &[Ctl],
+    threads: usize,
+    property_shard_states: usize,
+    _: usize,
+) -> Vec<CheckResult> {
+    check_all_parallel(kripke, formulas, threads, property_shard_states)
 }
 
 #[cfg(test)]
@@ -116,9 +105,9 @@ mod tests {
     fn sharded_sweep_matches_sequential_batch() {
         let kripke = big_ring();
         let formulas = sweep_formulas();
-        let sequential = ModelChecker::new(&kripke, Engine::Symbolic).check_all(&formulas);
+        let sequential = ModelChecker::new(&kripke).check_all(&formulas);
         for threads in [1, 2, 3, 4, 8, 32] {
-            let parallel = check_all_parallel(&kripke, Engine::Symbolic, &formulas, threads);
+            let parallel = check_all_parallel(&kripke, &formulas, threads, 0);
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }
@@ -133,7 +122,7 @@ mod tests {
         );
         kripke.set_labels(&[vec![0], vec![]]);
         let formulas = vec![Ctl::atom("p").always_globally(), Ctl::atom("p").exists_finally()];
-        let sequential = ModelChecker::new(&kripke, Engine::Symbolic).check_all(&formulas);
-        assert_eq!(check_all_parallel(&kripke, Engine::Symbolic, &formulas, 8), sequential);
+        let sequential = ModelChecker::new(&kripke).check_all(&formulas);
+        assert_eq!(check_all_parallel(&kripke, &formulas, 8, 0), sequential);
     }
 }

@@ -1,9 +1,9 @@
 //! Dependency-free parallel execution layer for the analysis fan-out sites.
 //!
-//! Soteria's hot loops — the per-app corpus sweep, the per-group property sweeps,
-//! and the checker's word-sharded fixpoints — are all *independent iterations
-//! over immutable inputs*: the analyzer borrows `&self` and the checker borrows
-//! an immutable `Kripke`. This crate provides the primitives they share:
+//! Soteria's hot loops — the per-app corpus sweep and the per-group property
+//! sweeps — are *independent iterations over immutable inputs*: the analyzer
+//! borrows `&self` and the checker borrows an immutable `Kripke`. This crate
+//! provides the primitives they share:
 //!
 //! * [`WorkerPool`] — a persistent pool of long-lived worker threads fed by an
 //!   injector queue: [`WorkerPool::spawn`] for fire-and-forget `'static` jobs
@@ -59,20 +59,17 @@ pub use soteria_sync::{lock_recover, recover};
 /// The environment variable overriding the worker count (`0` or unset = auto).
 pub const THREADS_ENV: &str = "SOTERIA_THREADS";
 
-/// The environment variable overriding every state-count sharding threshold
-/// (`0` or unset = the call site's default). One knob covers both the
-/// property-level shard threshold (`soteria_checker::PARALLEL_UNIVERSE`) and
-/// the in-formula fixpoint-shard threshold
-/// (`soteria_checker::FIXPOINT_SHARD_STATES`): sharding is byte-identical to
-/// sequential execution everywhere, so forcing it on (`SOTERIA_SHARD_STATES=1`)
-/// only changes scheduling — which is exactly how CI exercises the sharded
-/// fixpoints on small models.
+/// The environment variable overriding the property-level fan-out threshold
+/// (`soteria_checker::PARALLEL_UNIVERSE`; `0` or unset = that default). The
+/// fan-out is byte-identical to the sequential batch, so forcing it on
+/// (`SOTERIA_SHARD_STATES=1`) only changes scheduling — which is how CI
+/// exercises the property fan-out on small models.
 pub const SHARD_STATES_ENV: &str = "SOTERIA_SHARD_STATES";
 
 /// Resolves a state-count sharding threshold.
 ///
 /// Priority: an explicit non-zero `configured` value (e.g.
-/// `AnalysisConfig::fixpoint_shard_states`), then a non-zero
+/// `AnalysisConfig::property_shard_states`), then a non-zero
 /// [`SHARD_STATES_ENV`] environment variable, then the call site's `default`.
 pub fn resolve_shard_states(configured: usize, default: usize) -> usize {
     if configured > 0 {

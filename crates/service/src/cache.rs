@@ -4,7 +4,7 @@
 //! Soteria analyses are pure functions of the app source and the analysis
 //! configuration — the determinism gates prove thread counts never change a
 //! result — so a result computed once is valid forever. Keys hash the *content*
-//! (name, source bytes, [`AnalysisConfig::fingerprint`], engine), never
+//! (name, source bytes, [`AnalysisConfig::fingerprint`]), never
 //! identities or timestamps: resubmitting the same app is a guaranteed hit
 //! returning the frozen original, and any single-byte change to the source or
 //! any result-relevant configuration flag produces a different key.
@@ -49,46 +49,34 @@ impl fmt::Display for CacheKey {
     }
 }
 
-/// The content address of one app analysis: submitted name, source bytes, the
-/// configuration fingerprint, and the checking engine.
-pub fn app_cache_key(
-    name: &str,
-    source: &str,
-    config_fingerprint: u64,
-    engine: &str,
-) -> CacheKey {
+/// A constant chunk folded into every key. Keys once carried the name of the
+/// checking engine; there is one engine now, and hashing its old name keeps
+/// the key bytes, and so every existing store, unchanged.
+const ENGINE_TAG: &[u8] = b"Symbolic";
+
+/// The content address of one app analysis: submitted name, source bytes and
+/// the configuration fingerprint.
+pub fn app_cache_key(name: &str, source: &str, config_fingerprint: u64) -> CacheKey {
     let fingerprint = config_fingerprint.to_le_bytes();
-    CacheKey(fnv128(&[
-        b"app",
-        name.as_bytes(),
-        source.as_bytes(),
-        &fingerprint,
-        engine.as_bytes(),
-    ]))
+    CacheKey(fnv128(&[b"app", name.as_bytes(), source.as_bytes(), &fingerprint, ENGINE_TAG]))
 }
 
 /// The fault-layer address of app *source bytes*: like [`app_cache_key`] but
 /// name-independent, so quarantine strikes follow the offending content no
 /// matter what name it is resubmitted under.
-pub fn source_fingerprint(source: &str, config_fingerprint: u64, engine: &str) -> CacheKey {
+pub fn source_fingerprint(source: &str, config_fingerprint: u64) -> CacheKey {
     let fingerprint = config_fingerprint.to_le_bytes();
-    CacheKey(fnv128(&[b"src", source.as_bytes(), &fingerprint, engine.as_bytes()]))
+    CacheKey(fnv128(&[b"src", source.as_bytes(), &fingerprint, ENGINE_TAG]))
 }
 
 /// The content address of an environment analysis: group name plus the member
 /// *app keys* in submission order (member content changes propagate through
 /// their keys) and the configuration fingerprint.
-pub fn env_cache_key(
-    group: &str,
-    member_keys: &[CacheKey],
-    config_fingerprint: u64,
-    engine: &str,
-) -> CacheKey {
+pub fn env_cache_key(group: &str, member_keys: &[CacheKey], config_fingerprint: u64) -> CacheKey {
     let member_bytes: Vec<[u8; 16]> =
         member_keys.iter().map(|k| k.0.to_le_bytes()).collect();
     let fingerprint = config_fingerprint.to_le_bytes();
-    let mut chunks: Vec<&[u8]> =
-        vec![b"env", group.as_bytes(), &fingerprint, engine.as_bytes()];
+    let mut chunks: Vec<&[u8]> = vec![b"env", group.as_bytes(), &fingerprint, ENGINE_TAG];
     chunks.extend(member_bytes.iter().map(|b| b.as_slice()));
     CacheKey(fnv128(&chunks))
 }
@@ -199,40 +187,35 @@ mod tests {
 
     #[test]
     fn keys_are_content_addressed() {
-        let base = app_cache_key("a", "def installed() {}", 7, "Symbolic");
-        assert_eq!(base, app_cache_key("a", "def installed() {}", 7, "Symbolic"));
+        let base = app_cache_key("a", "def installed() {}", 7);
+        assert_eq!(base, app_cache_key("a", "def installed() {}", 7));
         // Any single differing byte anywhere changes the key.
-        assert_ne!(base, app_cache_key("a", "def installed() { }", 7, "Symbolic"));
-        assert_ne!(base, app_cache_key("b", "def installed() {}", 7, "Symbolic"));
-        assert_ne!(base, app_cache_key("a", "def installed() {}", 8, "Symbolic"));
-        assert_ne!(base, app_cache_key("a", "def installed() {}", 7, "Explicit"));
+        assert_ne!(base, app_cache_key("a", "def installed() { }", 7));
+        assert_ne!(base, app_cache_key("b", "def installed() {}", 7));
+        assert_ne!(base, app_cache_key("a", "def installed() {}", 8));
         // Chunk boundaries are unambiguous.
-        assert_ne!(
-            app_cache_key("ab", "c", 0, "e"),
-            app_cache_key("a", "bc", 0, "e")
-        );
+        assert_ne!(app_cache_key("ab", "c", 0), app_cache_key("a", "bc", 0));
     }
 
     #[test]
     fn source_fingerprints_ignore_the_submitted_name() {
-        let base = source_fingerprint("def installed() {}", 7, "Symbolic");
-        assert_eq!(base, source_fingerprint("def installed() {}", 7, "Symbolic"));
-        assert_ne!(base, source_fingerprint("def installed() { }", 7, "Symbolic"));
-        assert_ne!(base, source_fingerprint("def installed() {}", 8, "Symbolic"));
-        assert_ne!(base, source_fingerprint("def installed() {}", 7, "Explicit"));
+        let base = source_fingerprint("def installed() {}", 7);
+        assert_eq!(base, source_fingerprint("def installed() {}", 7));
+        assert_ne!(base, source_fingerprint("def installed() { }", 7));
+        assert_ne!(base, source_fingerprint("def installed() {}", 8));
         // Distinct address space from the name-sensitive cache keys.
-        assert_ne!(base, app_cache_key("a", "def installed() {}", 7, "Symbolic"));
+        assert_ne!(base, app_cache_key("a", "def installed() {}", 7));
     }
 
     #[test]
     fn env_keys_depend_on_members_and_order() {
-        let a = app_cache_key("a", "x", 0, "e");
-        let b = app_cache_key("b", "y", 0, "e");
-        let ab = env_cache_key("G", &[a, b], 0, "e");
-        assert_eq!(ab, env_cache_key("G", &[a, b], 0, "e"));
-        assert_ne!(ab, env_cache_key("G", &[b, a], 0, "e"));
-        assert_ne!(ab, env_cache_key("H", &[a, b], 0, "e"));
-        assert_ne!(ab, env_cache_key("G", &[a], 0, "e"));
+        let a = app_cache_key("a", "x", 0);
+        let b = app_cache_key("b", "y", 0);
+        let ab = env_cache_key("G", &[a, b], 0);
+        assert_eq!(ab, env_cache_key("G", &[a, b], 0));
+        assert_ne!(ab, env_cache_key("G", &[b, a], 0));
+        assert_ne!(ab, env_cache_key("H", &[a, b], 0));
+        assert_ne!(ab, env_cache_key("G", &[a], 0));
     }
 
     #[test]

@@ -1023,9 +1023,6 @@ struct Watched {
 /// The shared state behind a [`Service`] and every job handle it issued.
 pub struct ServiceInner {
     soteria: Soteria,
-    /// Engine discriminator folded into cache keys (engine choice can change
-    /// counterexample traces, hence reports).
-    engine_tag: String,
     config_fingerprint: u64,
     pool: WorkerPool,
     admission: Admission,
@@ -1393,12 +1390,7 @@ impl ServiceInner {
         let reason = "payload does not decode to this key's app record";
         self.restore(StoreBucket::Apps, key, reason, |value| {
             let stored = soteria::app_from_store_json(value).filter(|stored| {
-                app_cache_key(
-                    &stored.name,
-                    &stored.source,
-                    self.config_fingerprint,
-                    &self.engine_tag,
-                ) == key
+                app_cache_key(&stored.name, &stored.source, self.config_fingerprint) == key
             })?;
             // Extraction is deterministic and the address proves it succeeded
             // on this exact content once — but a panic here must degrade to
@@ -1712,7 +1704,6 @@ impl Service {
             PersistentStore::open(dir, fs, tuning)
         });
         let inner = ServiceInner {
-            engine_tag: format!("{:?}", soteria.engine),
             config_fingerprint: soteria.config.fingerprint(),
             pool: WorkerPool::new(workers),
             admission: Admission::new(options.max_pending, options.admission),
@@ -1863,11 +1854,10 @@ impl Service {
     /// schedule work: cache hits and coalesced submissions are always accepted.
     pub fn submit_app(&self, name: &str, source: &str) -> Result<AppJob, ServiceError> {
         let inner = &self.inner;
-        let key =
-            app_cache_key(name, source, inner.config_fingerprint, &inner.engine_tag);
+        let key = app_cache_key(name, source, inner.config_fingerprint);
         // Fault accounting is keyed by the *source bytes alone* — a quarantined
         // input stays quarantined no matter what name it is resubmitted under.
-        let fault_key = source_fingerprint(source, inner.config_fingerprint, &inner.engine_tag);
+        let fault_key = source_fingerprint(source, inner.config_fingerprint);
         self.admit(name, key, fault_key, |job, control| {
             self.schedule_app(job, control, fault_key, source.to_string())
         })
@@ -1955,8 +1945,7 @@ impl Service {
     ) -> Result<EnvJob, ServiceError> {
         let inner = &self.inner;
         let member_keys: Vec<CacheKey> = members.iter().map(|m| m.key).collect();
-        let key =
-            env_cache_key(group, &member_keys, inner.config_fingerprint, &inner.engine_tag);
+        let key = env_cache_key(group, &member_keys, inner.config_fingerprint);
         // Membership is an environment's content: its key is its fault key.
         self.admit(group, key, key, |job, control| {
             self.schedule_environment(job, control, members)

@@ -6,9 +6,7 @@ use crate::report::{
 };
 use soteria_analysis::{abstract_domains, AnalysisConfig, SymbolicExecutor, TransitionSpec};
 use soteria_capability::CapabilityRegistry;
-use soteria_checker::{
-    check_all_parallel_with, Ctl, Engine, Kripke, ModelChecker, SatSnapshot,
-};
+use soteria_checker::{check_all_parallel, Ctl, Engine, Kripke, ModelChecker, SatSnapshot};
 use soteria_ir::AppIr;
 use soteria_lang::ParseError;
 use soteria_model::{
@@ -63,7 +61,9 @@ pub struct Soteria {
     pub registry: CapabilityRegistry,
     /// The static-analysis configuration.
     pub config: AnalysisConfig,
-    /// The model-checking engine.
+    /// Unused: there is one checking engine. Kept only because the benchmark
+    /// harness's replay still reads it.
+    #[doc(hidden)]
     pub engine: Engine,
 }
 
@@ -495,16 +495,14 @@ impl Soteria {
     /// MalIoT App5 case).
     ///
     /// The applicable formulas are checked as one batch: in [`CheckMode::Batch`]
-    /// via [`check_all_parallel_with`] (on larger-than-one-word state universes
-    /// the ~30 properties share cached subformula satisfaction sets within a
-    /// shard, and above the property threshold the shards fan out across
-    /// per-thread checkers; small universes recompute — see the checker's
-    /// `SMALL_UNIVERSE` note). The snapshot modes run the whole batch on one
-    /// memo-sharing checker instead so its sat sets can be exported (and, given
-    /// a previous snapshot, started from its sets) — the existing
-    /// parallel-identity gate makes the two schedules byte-identical. The
-    /// reflection-free re-check batches the failing formulas the parallel way
-    /// in every mode.
+    /// via [`check_all_parallel`] (the ~30 properties share cached subformula
+    /// satisfaction sets within a shard, and above the property threshold the
+    /// shards fan out across per-thread checkers). The snapshot modes run the
+    /// whole batch on one memo-sharing checker instead so its sat sets can be
+    /// exported (and, given a previous snapshot, started from its sets) — the
+    /// existing parallel-identity gate makes the two schedules byte-identical.
+    /// The reflection-free re-check batches the failing formulas the parallel
+    /// way in every mode.
     #[allow(clippy::too_many_arguments)]
     fn check_specific_on_model(
         &self,
@@ -542,13 +540,11 @@ impl Soteria {
             CheckMode::Batch => {
                 let _s = soteria_obs::span("check.batch");
                 (
-                    check_all_parallel_with(
+                    check_all_parallel(
                         &kripke,
-                        self.engine,
                         &formulas,
                         self.threads(),
                         self.config.property_shard_states,
-                        self.config.fixpoint_shard_states,
                     ),
                     None,
                 )
@@ -556,12 +552,7 @@ impl Soteria {
             CheckMode::Snapshot(reuse) => {
                 let label = if reuse.is_some() { "check.reuse" } else { "check.cold" };
                 let _s = soteria_obs::span(label);
-                let mut checker = ModelChecker::with_sharding(
-                    &kripke,
-                    self.engine,
-                    self.config.threads,
-                    self.config.fixpoint_shard_states,
-                );
+                let mut checker = ModelChecker::new(&kripke);
                 if let Some(prev) = reuse {
                     checker = checker.reuse_from(prev, &[]);
                 }
@@ -585,13 +576,11 @@ impl Soteria {
             let k = default_initial_kripke(&m);
             let failing_formulas: Vec<Ctl> =
                 failing.iter().map(|&i| formulas[i].clone()).collect();
-            check_all_parallel_with(
+            check_all_parallel(
                 &k,
-                self.engine,
                 &failing_formulas,
                 self.threads(),
                 self.config.property_shard_states,
-                self.config.fixpoint_shard_states,
             )
             .iter()
             .map(|r| r.holds)

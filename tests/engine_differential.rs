@@ -1,7 +1,7 @@
-//! Differential fuzzing of the model-checking engines: random Kripke structures and
-//! random CTL formulas must produce identical satisfaction sets and verdicts from
-//! the frontier-based Symbolic engine, the per-state Explicit engine, and the frozen
-//! pre-CSR `LegacyModelChecker` baseline — including under incremental
+//! Differential fuzzing of the model checker: random Kripke structures and random
+//! CTL formulas must produce identical satisfaction sets and verdicts from the
+//! production `ModelChecker` and the frozen pre-CSR `LegacyModelChecker`, the one
+//! independent checker oracle — including under incremental
 //! re-verification: random *edit sequences* where each step reuses the previous
 //! step's satisfaction-set snapshot, and app-level edit chains where each rebuilt
 //! union is checked against the seed union oracle. The same agreements are pinned on
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use soteria::{default_initial_kripke, AppAnalysis, Soteria};
 use soteria_bench::{analyze_all, g3_variant_source};
-use soteria_checker::{Ctl, Engine, Kripke, LegacyModelChecker, ModelChecker};
+use soteria_checker::{Ctl, Kripke, LegacyModelChecker, ModelChecker};
 use soteria_corpus::{all_market_apps, maliot_groups, maliot_suite, market_groups, running};
 use soteria_model::legacy::union_models_legacy;
 use soteria_model::{union_models, StateModel, UnionOptions};
@@ -120,11 +120,12 @@ fn random_formula(depth: usize, rng: &mut TestRng) -> Ctl {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All three checkers agree — sat sets, verdicts, violating-state counts, and
-    /// counterexample existence — on arbitrary structures and formulas.
+    /// The checker and the legacy oracle agree — sat sets, verdicts,
+    /// violating-state counts, and counterexample traces — on arbitrary
+    /// structures and formulas.
     #[test]
-    // The state-count range straddles the checker's single-word threshold (64), so
-    // both the round-based and the frontier/memoized code paths are exercised.
+    // The state-count range straddles one bitset word (64 states), so both
+    // single-word and multi-word sets are exercised.
     fn engines_agree_on_random_structures((n, seed) in (1usize..160, 0usize..1_000_000)) {
         let mut rng = TestRng::deterministic();
         // Re-seed deterministically per case so structures vary across cases.
@@ -132,21 +133,16 @@ proptest! {
             rng.next_u64();
         }
         let kripke = random_kripke(n, &mut rng);
-        let symbolic = ModelChecker::new(&kripke, Engine::Symbolic);
-        let explicit = ModelChecker::new(&kripke, Engine::Explicit);
+        let checker = ModelChecker::new(&kripke);
         let legacy = LegacyModelChecker::new(&kripke);
         for _ in 0..8 {
             let formula = random_formula(3, &mut rng);
-            let sym_sat: Vec<usize> = symbolic.sat(&formula).iter().collect();
-            let exp_sat: Vec<usize> = explicit.sat(&formula).iter().collect();
+            let sat: Vec<usize> = checker.sat(&formula).iter().collect();
             let leg_sat: Vec<usize> = legacy.sat(&formula).iter().collect();
-            prop_assert_eq!(&sym_sat, &exp_sat, "symbolic vs explicit sat on {} (n={})", formula, n);
-            prop_assert_eq!(&sym_sat, &leg_sat, "symbolic vs legacy sat on {} (n={})", formula, n);
-            let sym = symbolic.check(&formula);
-            let exp = explicit.check(&formula);
+            prop_assert_eq!(&sat, &leg_sat, "checker vs legacy sat on {} (n={})", formula, n);
+            let result = checker.check(&formula);
             let leg = legacy.check(&formula);
-            prop_assert_eq!(&sym, &exp, "symbolic vs explicit verdict on {}", formula);
-            prop_assert_eq!(&sym, &leg, "symbolic vs legacy verdict on {}", formula);
+            prop_assert_eq!(&result, &leg, "checker vs legacy verdict on {}", formula);
         }
     }
 
@@ -159,16 +155,16 @@ proptest! {
         }
         let kripke = random_kripke(n, &mut rng);
         let formulas: Vec<Ctl> = (0..6).map(|_| random_formula(2, &mut rng)).collect();
-        let batch = ModelChecker::new(&kripke, Engine::Symbolic).check_all(&formulas);
+        let batch = ModelChecker::new(&kripke).check_all(&formulas);
         for (f, b) in formulas.iter().zip(&batch) {
-            let fresh = ModelChecker::new(&kripke, Engine::Symbolic).check(f);
+            let fresh = ModelChecker::new(&kripke).check(f);
             prop_assert_eq!(&fresh, b, "batched verdict differs on {}", f);
         }
     }
 
     /// Incremental re-verification fuzz: a chain of random structure edits, each
     /// step re-checked with sat-set reuse from the previous step's snapshot, must
-    /// match fresh Symbolic, Explicit, and Legacy checkers at every step. Edits
+    /// match a fresh checker and the legacy oracle at every step. Edits
     /// sometimes change nothing (the identical structure, where every set is
     /// reused); a changed structure stays cold. Each step passes either every
     /// atom or none as the dirty-prefix argument, which `reuse_from` ignores.
@@ -183,7 +179,7 @@ proptest! {
         let mut spec = KripkeSpec::random(n, &mut rng);
         let formulas: Vec<Ctl> = (0..6).map(|_| random_formula(3, &mut rng)).collect();
         let base = spec.build();
-        let cold = ModelChecker::new(&base, Engine::Symbolic);
+        let cold = ModelChecker::new(&base);
         let _ = cold.check_all(&formulas);
         let mut snapshot = cold.snapshot();
         for step in 0..4 {
@@ -195,15 +191,13 @@ proptest! {
                 Vec::new()
             };
             let warm =
-                ModelChecker::new(&kripke, Engine::Symbolic).reuse_from(&snapshot, &dirty);
+                ModelChecker::new(&kripke).reuse_from(&snapshot, &dirty);
             let reused = warm.check_all(&formulas);
             let fresh =
-                ModelChecker::new(&kripke, Engine::Symbolic).check_all(&formulas);
-            prop_assert_eq!(&reused, &fresh, "reused vs fresh symbolic at step {}", step);
-            let explicit = ModelChecker::new(&kripke, Engine::Explicit);
+                ModelChecker::new(&kripke).check_all(&formulas);
+            prop_assert_eq!(&reused, &fresh, "reused vs fresh at step {}", step);
             let legacy = LegacyModelChecker::new(&kripke);
             for (f, r) in formulas.iter().zip(&reused) {
-                prop_assert_eq!(&explicit.check(f), r, "explicit verdict on {} at step {}", f, step);
                 prop_assert_eq!(&legacy.check(f), r, "legacy verdict on {} at step {}", f, step);
             }
             snapshot = warm.snapshot();
@@ -243,7 +237,7 @@ proptest! {
     /// three-app group. At every step the union must be byte-identical to the
     /// seed oracle `union_models_legacy`, and the incremental environment
     /// verdicts — seeded from the previous step's snapshot — must be
-    /// byte-identical to a from-scratch analysis under both engines.
+    /// byte-identical to a from-scratch analysis.
     #[test]
     fn delta_unions_and_incremental_verdicts_survive_random_edit_chains(
         seed in 0usize..1_000_000
@@ -252,57 +246,54 @@ proptest! {
         for _ in 0..(seed % 71) {
             rng.next_u64();
         }
-        for engine in [Engine::Symbolic, Engine::Explicit] {
-            let mut soteria = Soteria::new();
-            soteria.engine = engine;
-            let mut variants: Vec<u64> =
-                (0..3).map(|_| rng.next_u64()).collect();
-            let names = ["Member-A", "Member-B", "Member-C"];
-            let mut analyses: Vec<soteria::AppAnalysis> = names
-                .iter()
-                .zip(&variants)
-                .map(|(name, v)| {
-                    soteria.analyze_app(name, &member_source(name, *v)).expect("parses")
-                })
-                .collect();
+        let soteria = Soteria::new();
+        let mut variants: Vec<u64> =
+            (0..3).map(|_| rng.next_u64()).collect();
+        let names = ["Member-A", "Member-B", "Member-C"];
+        let mut analyses: Vec<soteria::AppAnalysis> = names
+            .iter()
+            .zip(&variants)
+            .map(|(name, v)| {
+                soteria.analyze_app(name, &member_source(name, *v)).expect("parses")
+            })
+            .collect();
+        let refs: Vec<&soteria::AppAnalysis> = analyses.iter().collect();
+        let (mut base, snapshot) = soteria.analyze_environment_with_snapshot("G", &refs);
+        let mut snapshot = snapshot.expect("checkable group exports a snapshot");
+        for step in 0..3 {
+            let idx = (rng.next_u64() as usize) % names.len();
+            variants[idx] = rng.next_u64();
+            analyses[idx] = soteria
+                .analyze_app(names[idx], &member_source(names[idx], variants[idx]))
+                .expect("parses");
+
+            // The scratch union alone: byte-identical to the seed oracle.
+            let models: Vec<&soteria_model::StateModel> =
+                analyses.iter().map(|a| &a.model).collect();
+            let options = UnionOptions::default();
+            let scratch_union = union_models("G", &models, &options);
+            let legacy_union = union_models_legacy("G", &models, &options);
+            prop_assert_eq!(
+                &scratch_union.transitions, &legacy_union.transitions,
+                "union diverges from the seed oracle at step {} (member {})", step, idx
+            );
+            prop_assert_eq!(&scratch_union.attributes, &legacy_union.attributes);
+
+            // The full incremental re-analysis against a from-scratch one.
             let refs: Vec<&soteria::AppAnalysis> = analyses.iter().collect();
-            let (mut base, snapshot) = soteria.analyze_environment_with_snapshot("G", &refs);
-            let mut snapshot = snapshot.expect("checkable group exports a snapshot");
-            for step in 0..3 {
-                let idx = (rng.next_u64() as usize) % names.len();
-                variants[idx] = rng.next_u64();
-                analyses[idx] = soteria
-                    .analyze_app(names[idx], &member_source(names[idx], variants[idx]))
-                    .expect("parses");
-
-                // The scratch union alone: byte-identical to the seed oracle.
-                let models: Vec<&soteria_model::StateModel> =
-                    analyses.iter().map(|a| &a.model).collect();
-                let options = UnionOptions::default();
-                let scratch_union = union_models("G", &models, &options);
-                let legacy_union = union_models_legacy("G", &models, &options);
-                prop_assert_eq!(
-                    &scratch_union.transitions, &legacy_union.transitions,
-                    "union diverges from the seed oracle at step {} (member {})", step, idx
-                );
-                prop_assert_eq!(&scratch_union.attributes, &legacy_union.attributes);
-
-                // The full incremental re-analysis against a from-scratch one.
-                let refs: Vec<&soteria::AppAnalysis> = analyses.iter().collect();
-                let (incremental, next_snapshot) =
-                    soteria.analyze_environment_incremental("G", &refs, &base, &snapshot, idx);
-                let scratch = soteria.analyze_environment_refs("G", &refs);
-                prop_assert_eq!(
-                    &incremental.violations, &scratch.violations,
-                    "incremental verdicts diverge at step {} ({:?})", step, engine
-                );
-                prop_assert_eq!(
-                    &incremental.union_model.transitions,
-                    &scratch.union_model.transitions
-                );
-                base = incremental;
-                snapshot = next_snapshot.expect("snapshot persists across edits");
-            }
+            let (incremental, next_snapshot) =
+                soteria.analyze_environment_incremental("G", &refs, &base, &snapshot, idx);
+            let scratch = soteria.analyze_environment_refs("G", &refs);
+            prop_assert_eq!(
+                &incremental.violations, &scratch.violations,
+                "incremental verdicts diverge at step {}", step
+            );
+            prop_assert_eq!(
+                &incremental.union_model.transitions,
+                &scratch.union_model.transitions
+            );
+            base = incremental;
+            snapshot = next_snapshot.expect("snapshot persists across edits");
         }
     }
 }
@@ -337,9 +328,9 @@ fn property_sweep(name: &str, members: &[&AppAnalysis]) -> (Kripke, Vec<Ctl>) {
     (kripke, formulas)
 }
 
-/// All three checkers return identical `CheckResult`s (verdict, violating-state
-/// count and counterexample) on the full applicable property sweep of every
-/// running example, every MalIoT app and every MalIoT group.
+/// The checker and the legacy oracle return identical `CheckResult`s (verdict,
+/// violating-state count and counterexample) on the full applicable property
+/// sweep of every running example, every MalIoT app and every MalIoT group.
 #[test]
 fn engines_agree_on_the_corpus_property_sweeps() {
     let soteria = Soteria::new();
@@ -370,12 +361,10 @@ fn engines_agree_on_the_corpus_property_sweeps() {
     }
     assert_eq!(sweeps.len(), 4 + 17 + 3);
     for (name, kripke, formulas) in &sweeps {
-        let symbolic = ModelChecker::new(kripke, Engine::Symbolic).check_all(formulas);
-        let explicit = ModelChecker::new(kripke, Engine::Explicit).check_all(formulas);
+        let results = ModelChecker::new(kripke).check_all(formulas);
         let legacy = LegacyModelChecker::new(kripke).check_all(formulas);
         for (i, f) in formulas.iter().enumerate() {
-            assert_eq!(symbolic[i], explicit[i], "{name}: symbolic vs explicit on {f}");
-            assert_eq!(symbolic[i], legacy[i], "{name}: symbolic vs legacy on {f}");
+            assert_eq!(results[i], legacy[i], "{name}: checker vs legacy on {f}");
         }
     }
 }
@@ -406,9 +395,7 @@ fn assert_environments_equal(
 /// as `serve-edit`'s updates are, and ends with a nonce-only resubmission.
 /// Every pass equals its from-scratch counterpart. A changed union gets a
 /// fresh structure; the nonce-only pass keeps the snapshot's. An unchanged
-/// resubmission against the cold base reproduces the batch result, and the
-/// word-sharded fixpoints equal the sequential ones at 1, 2, 4 and 8 shard
-/// threads.
+/// resubmission against the cold base reproduces the batch result.
 #[test]
 fn g3_incremental_reverification_matches_scratch() {
     /// `(member, variant)` steps from the originals, one member per step:
@@ -471,19 +458,4 @@ fn g3_incremental_reverification_matches_scratch() {
     let idx = g3.members.iter().position(|m| *m == "TP21").expect("TP21 in G.3");
     let (noop, _) = soteria.analyze_environment_incremental("G.3", &refs, &cold, &snapshot, idx);
     assert_environments_equal("unchanged resubmission", &noop, &batch);
-
-    let (kripke, formulas) = property_sweep("G.3", &refs);
-    let sequential = ModelChecker::new(&kripke, Engine::Symbolic);
-    let expected: Vec<(Vec<usize>, _)> = formulas
-        .iter()
-        .map(|f| (sequential.sat(f).iter().collect(), sequential.check(f)))
-        .collect();
-    for threads in [1, 2, 4, 8] {
-        // A shard threshold of one state forces the sharded fixpoints.
-        let sharded = ModelChecker::with_sharding(&kripke, Engine::Symbolic, threads, 1);
-        for (f, (sat, result)) in formulas.iter().zip(&expected) {
-            assert_eq!(&sharded.sat(f).iter().collect::<Vec<_>>(), sat, "{threads} threads: {f}");
-            assert_eq!(&sharded.check(f), result, "{threads} threads: {f} verdict");
-        }
-    }
 }

@@ -3,6 +3,7 @@
 //! the out-of-scope apps (App9, App10, App11).
 
 use soteria::{AppAnalysis, Soteria};
+use soteria_bench::verdict;
 use soteria_corpus::{maliot_groups, maliot_suite, CorpusApp};
 use std::collections::BTreeMap;
 
@@ -116,4 +117,113 @@ fn detection_summary_matches_paper_shape() {
         })
         .count();
     assert_eq!(flagged, in_scope, "every in-scope app is flagged alone or in its group");
+}
+
+/// Every MalIoT app's exact verdict: its reported properties in report order,
+/// `ID*n` standing for `n` repeats of `ID`.
+const PINNED: &[(&str, &str)] = &[
+    ("App1", "P.2"),
+    ("App2", "P.9"),
+    ("App3", "S.2"),
+    ("App4", "S.1 S.1 S.4 S.4"),
+    ("App5", "S.1? S.2? DET*144 P.10?"),
+    ("App6", "P.1 P.12"),
+    ("App7", "S.4"),
+    ("App8", "S.5 P.1"),
+    ("App9", "-"),
+    ("App10", "-"),
+    ("App11", "-"),
+    ("App12", "-"),
+    ("App13", "-"),
+    ("App14", "-"),
+    ("App15", "-"),
+    ("App16", "-"),
+    ("App17", "P.14"),
+];
+
+/// Every finding beyond an app's own `ground_truth.expectations`, as
+/// `(app, finding, count, reason)`.
+const BEYOND_GROUND_TRUTH: &[(&str, &str, usize, &str)] = &[
+    (
+        "App4",
+        "S.1",
+        1,
+        "over-approximation: saveEnergyHandler runs on app touch and on its runIn timer, \
+         and S.1 is reported once per triggering event",
+    ),
+    (
+        "App4",
+        "S.4",
+        2,
+        "over-approximation: the app-touch and timer triggers of saveEnergyHandler count \
+         as racing events, reported once per conflicting pair (off then on, on then off)",
+    ),
+    (
+        "App5",
+        "S.1?",
+        1,
+        "reflection over-approximation: the reflective call may reach silenceAlarm after \
+         the siren; it vanishes without reflection, hence the ?",
+    ),
+    (
+        "App5",
+        "S.2?",
+        1,
+        "reflection over-approximation: the reflective call may reach keepSirening, \
+         sounding the siren twice; it vanishes without reflection, hence the ?",
+    ),
+    (
+        "App5",
+        "DET",
+        144,
+        "reflection over-approximation: smoke.detected may leave the alarm on siren or \
+         off, one finding per nondeterministic (state, event) pair; determinism is not \
+         re-checked without reflection, so no ?",
+    ),
+];
+
+/// Expands a pin's `ID*n` repeats into the space-separated verdict.
+fn expand(pin: &str) -> String {
+    let ids: Vec<String> = pin
+        .split(' ')
+        .map(|id| match id.split_once('*') {
+            Some((id, n)) => vec![id; n.parse().expect("repeat count")].join(" "),
+            None => id.to_string(),
+        })
+        .collect();
+    ids.join(" ")
+}
+
+#[test]
+fn app_verdicts_are_pinned_exactly() {
+    let (suite, analyses) = analyze_suite();
+    let ids: Vec<&str> = suite.iter().map(|a| a.id.as_str()).collect();
+    let pinned_ids: Vec<&str> = PINNED.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, pinned_ids);
+    for (app, (_, pin)) in suite.iter().zip(PINNED) {
+        let pinned = expand(pin);
+        let found = verdict(&analyses[&app.id].violations);
+        assert_eq!(found, pinned, "{}: verdict differs from its pin", app.id);
+        // What the pin reports beyond the app's own expectations is exactly the
+        // explained findings above.
+        let truth = &app.ground_truth;
+        let own = truth.multi_app_group.is_none() && truth.out_of_scope.is_none();
+        let expected = if own { truth.expectations.as_slice() } else { &[] };
+        let mut beyond: Vec<&str> = pinned.split(' ').filter(|p| *p != "-").collect();
+        for expectation in expected {
+            let mark = if expectation.false_positive { "?" } else { "" };
+            let id = format!("{}{mark}", expectation.property);
+            let at = beyond.iter().position(|p| *p == id);
+            let at = at.unwrap_or_else(|| panic!("{}: expected {id} is not reported", app.id));
+            beyond.remove(at);
+        }
+        let mut explained: Vec<&str> = BEYOND_GROUND_TRUTH
+            .iter()
+            .filter(|(id, ..)| *id == app.id)
+            .flat_map(|(_, finding, count, _)| std::iter::repeat_n(*finding, *count))
+            .collect();
+        beyond.sort_unstable();
+        explained.sort_unstable();
+        assert_eq!(beyond, explained, "{}: unexplained findings beyond the ground truth", app.id);
+    }
 }

@@ -2,7 +2,8 @@
 //! re-created market apps.
 
 use soteria::{AppAnalysis, Soteria};
-use soteria_corpus::{official_apps, third_party_apps};
+use soteria_bench::{analyze_all, verdict};
+use soteria_corpus::{all_market_apps, official_apps, third_party_apps};
 
 fn violated(analysis: &AppAnalysis) -> Vec<String> {
     analysis.violated_properties().iter().map(|p| p.to_string()).collect()
@@ -85,4 +86,36 @@ fn table3_summary_counts() {
         1,
         "exactly one app violates multiple properties: {multi_property:?}"
     );
+}
+
+/// Every market app's exact verdict: its reported properties in report order.
+/// Only the nine Table 3 apps report anything, and each reports exactly its
+/// ground-truth properties — no finding goes beyond `ground_truth.expectations`.
+#[test]
+fn app_verdicts_are_pinned_exactly() {
+    const FLAGGED: &[(&str, &str)] = &[
+        ("TP1", "P.13"),
+        ("TP2", "P.12"),
+        ("TP3", "S.4"),
+        ("TP4", "P.29"),
+        ("TP5", "P.28"),
+        ("TP6", "S.1 P.12"),
+        ("TP7", "S.1"),
+        ("TP8", "P.1"),
+        ("TP9", "S.2"),
+    ];
+    let apps = all_market_apps();
+    assert_eq!(apps.len(), 65);
+    assert!(FLAGGED.iter().all(|(id, _)| apps.iter().any(|a| a.id == *id)));
+    let analyses = analyze_all(&Soteria::new(), &apps);
+    for (app, analysis) in apps.iter().zip(&analyses) {
+        let pinned = FLAGGED.iter().find(|(id, _)| *id == app.id).map_or("-", |(_, v)| *v);
+        assert_eq!(verdict(&analysis.violations), pinned, "{}: verdict differs from its pin", app.id);
+        let mut expected: Vec<&str> =
+            app.ground_truth.expectations.iter().map(|e| e.property.as_str()).collect();
+        let mut found: Vec<&str> = pinned.split(' ').filter(|p| *p != "-").collect();
+        expected.sort_unstable();
+        found.sort_unstable();
+        assert_eq!(found, expected, "{}: pin differs from the ground truth", app.id);
+    }
 }

@@ -1,10 +1,10 @@
 //! Property-based tests over the analysis pipeline: random benign apps built from the
-//! corpus templates must always produce deterministic, well-formed models, and the two
-//! model-checking engines must agree on every checked formula.
+//! corpus templates must always produce deterministic, well-formed models, and the
+//! model checker must agree with the legacy oracle on every checked formula.
 
 use proptest::prelude::*;
 use soteria::{default_initial_kripke, Soteria};
-use soteria_checker::{Ctl, Engine, ModelChecker};
+use soteria_checker::{Ctl, LegacyModelChecker, ModelChecker};
 use soteria_corpus::benign_templates;
 
 fn arbitrary_app() -> impl Strategy<Value = (usize, u32)> {
@@ -50,16 +50,16 @@ proptest! {
         prop_assert!(analysis.states_before_reduction >= model.state_count());
     }
 
-    /// The symbolic (bitset) and explicit engines agree on a family of formulas over
-    /// the extracted Kripke structures.
+    /// The checker and the legacy oracle agree on a family of formulas over the
+    /// extracted Kripke structures.
     #[test]
     fn engines_agree_on_extracted_models((template_idx, seed) in arbitrary_app()) {
         let template = benign_templates()[template_idx];
         let source = template.instantiate("PropApp", seed);
         let analysis = Soteria::new().analyze_app("PropApp", &source).unwrap();
         let kripke = default_initial_kripke(&analysis.model);
-        let symbolic = ModelChecker::new(&kripke, Engine::Symbolic);
-        let explicit = ModelChecker::new(&kripke, Engine::Explicit);
+        let checker = ModelChecker::new(&kripke);
+        let legacy = LegacyModelChecker::new(&kripke);
         let mut formulas = vec![
             Ctl::atom("triggered").exists_finally(),
             Ctl::atom("triggered").not().always_globally(),
@@ -70,9 +70,9 @@ proptest! {
             formulas.push(Ctl::atom(atom.clone()).always_globally());
         }
         for formula in formulas {
-            let a = symbolic.check(&formula).holds;
-            let b = explicit.check(&formula).holds;
-            prop_assert_eq!(a, b, "engines disagree on {}", formula);
+            let a = checker.check(&formula);
+            let b = legacy.check(&formula);
+            prop_assert_eq!(a, b, "checker and legacy disagree on {}", formula);
         }
     }
 

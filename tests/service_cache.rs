@@ -109,9 +109,7 @@ fn any_config_change_misses_but_thread_count_does_not() {
     // config computes are different (the cache is per-service, so we assert on
     // the key function the service uses).
     let base = paper_sequential();
-    let engine = "Symbolic";
-    let base_key =
-        soteria_service::app_cache_key("wld", WATER_LEAK, base.fingerprint(), engine);
+    let base_key = soteria_service::app_cache_key("wld", WATER_LEAK, base.fingerprint());
     for changed in [
         AnalysisConfig { esp_merge: false, ..base.clone() },
         AnalysisConfig { path_sensitive: false, ..base.clone() },
@@ -121,7 +119,7 @@ fn any_config_change_misses_but_thread_count_does_not() {
         AnalysisConfig { max_paths: base.max_paths / 2, ..base.clone() },
     ] {
         assert_ne!(
-            soteria_service::app_cache_key("wld", WATER_LEAK, changed.fingerprint(), engine),
+            soteria_service::app_cache_key("wld", WATER_LEAK, changed.fingerprint()),
             base_key,
             "config change did not change the cache key: {changed:?}"
         );
@@ -129,14 +127,24 @@ fn any_config_change_misses_but_thread_count_does_not() {
     // Thread counts never change results, so they share keys by design.
     let threaded = AnalysisConfig { threads: 8, ..base.clone() };
     assert_eq!(
-        soteria_service::app_cache_key("wld", WATER_LEAK, threaded.fingerprint(), engine),
+        soteria_service::app_cache_key("wld", WATER_LEAK, threaded.fingerprint()),
         base_key
     );
-    // ... and a different engine does not.
-    assert_ne!(
-        soteria_service::app_cache_key("wld", WATER_LEAK, base.fingerprint(), "Explicit"),
-        base_key
-    );
+}
+
+/// The key functions are the addresses of every persisted store entry, so their
+/// bytes must not drift: these values were computed when keys still took an
+/// engine name (always "Symbolic"), and a store written then must stay warm.
+#[test]
+fn cache_keys_keep_their_stored_values() {
+    let fingerprint = AnalysisConfig::paper().fingerprint();
+    assert_eq!(fingerprint, 0x2bdf_7a30_bae0_8dc1);
+    let app = soteria_service::app_cache_key("wld", WATER_LEAK, fingerprint);
+    assert_eq!(app.to_string(), "0672c4bb1fa27ab0caa998b7e8e266f5");
+    let source = soteria_service::source_fingerprint(WATER_LEAK, fingerprint);
+    assert_eq!(source.to_string(), "11ec5aa6c7ed5c0c5d83eacd49d7bf12");
+    let env = soteria_service::env_cache_key("G", &[app], fingerprint);
+    assert_eq!(env.to_string(), "721ae2703aa687182b4022ee4961b70a");
 }
 
 #[test]
