@@ -136,7 +136,11 @@ mod tests {
         let base = AnalysisConfig::paper();
         let threaded = AnalysisConfig { threads: 8, ..base.clone() };
         assert_eq!(base.fingerprint(), threaded.fingerprint());
-        let sharded = AnalysisConfig { property_shard_states: 1, ..base.clone() };
+        let sharded = AnalysisConfig {
+            property_shard_states: 1,
+            fixpoint_shard_states: 1,
+            ..base.clone()
+        };
         assert_eq!(base.fingerprint(), sharded.fingerprint());
         assert_ne!(base.fingerprint(), AnalysisConfig::without_esp_merge().fingerprint());
         assert_ne!(

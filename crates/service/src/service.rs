@@ -267,8 +267,8 @@ pub struct JobControl {
     trace: soteria_obs::TraceId,
     /// The in-stage abort flag: installed thread-locally around every stage
     /// body, latched by cancel/timeout so a *running* stage stops at its next
-    /// poll point (checker fixpoint rounds, union edge blocks) instead of
-    /// finishing a result nobody wants.
+    /// poll point (checker worklist pops and property boundaries, union edge
+    /// blocks) instead of finishing a result nobody wants.
     abort: AbortHandle,
 }
 
