@@ -25,17 +25,14 @@ pub struct AnalysisConfig {
     pub inline_depth: usize,
     /// Hard cap on the number of concurrently tracked paths per handler.
     pub max_paths: usize,
-    /// Worker threads for the analysis fan-out sites (batch app analysis, property
-    /// sweeps). `0` means auto: the `SOTERIA_THREADS` environment
-    /// variable if set, otherwise the machine's available parallelism. Results are
-    /// byte-identical at every value.
+    /// Worker threads for the analysis fan-out sites (batch app analysis and
+    /// batch environment analysis). `0` means auto: the `SOTERIA_THREADS`
+    /// environment variable if set, otherwise the machine's available
+    /// parallelism. Results are byte-identical at every value.
     pub threads: usize,
-    /// State-count threshold for the property-level check fan-out
-    /// (`soteria_checker::check_all_parallel`). `0` means auto: the
-    /// `SOTERIA_SHARD_STATES` environment variable if set, otherwise
-    /// `soteria_checker::PARALLEL_UNIVERSE` (2,048 states). Like `threads`,
-    /// the threshold only moves work between schedules — results are
-    /// byte-identical at every value.
+    /// Unused: each property batch is checked on one thread. Kept only because
+    /// the benchmark harness's replay still reads it.
+    #[doc(hidden)]
     pub property_shard_states: usize,
     /// Unused: the fixpoints are sequential. Kept only because the benchmark
     /// harness's replay still reads it.
@@ -83,10 +80,10 @@ impl AnalysisConfig {
     /// A stable 64-bit fingerprint of every configuration field that can change
     /// an analysis *result* (FNV-1a over a fixed field encoding).
     ///
-    /// `threads` and the two sharding thresholds are deliberately excluded:
-    /// worker counts and shard thresholds only change scheduling, never output
-    /// (the determinism gates enforce this), so a result computed at one
-    /// setting is valid for all of them. The service's content-addressed cache
+    /// `threads` and the two unused sharding fields are deliberately excluded:
+    /// worker counts only change scheduling, never output (the determinism
+    /// gates enforce this), so a result computed at one setting is valid for
+    /// all of them. The service's content-addressed cache
     /// keys on this fingerprint plus the app source.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

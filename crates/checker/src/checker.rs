@@ -74,47 +74,42 @@ enum NodeOp {
 /// The interner + satisfaction-set memo behind the checker's cache:
 /// structurally identical subformulas intern to the same node id, and each node's
 /// sat set is computed at most once per checker. Atom nodes name labelling rows
-/// of the checker's structure, so a memo is only valid over that structure or
-/// one equal to it (see [`SatSnapshot`]).
-#[derive(Debug, Clone, Default)]
+/// of the checker's structure, so a memo is only valid over that structure.
+#[derive(Debug, Default)]
 struct SatMemo {
     node_ids: HashMap<NodeOp, u32>,
     ops: Vec<NodeOp>,
     sat: Vec<Option<BitSet>>,
 }
 
-/// A frozen export of one checker's memoized satisfaction sets plus the
-/// structure they were computed over. Produced by [`ModelChecker::snapshot`]
-/// and consumed by [`ModelChecker::reuse_from`]: on a structure equal to the
-/// snapshot's, every set (temporal ones included) is reused as-is; on any other
-/// structure, nothing is.
+/// A handle to a checked structure and nothing else: no sat sets are kept
+/// across checks. Kept only because the benchmark harness's replay still
+/// passes it around.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct SatSnapshot {
-    /// The structure the sets were computed over, behind an [`Arc`] so a
-    /// snapshot export can share the checker's structure instead of cloning
-    /// ~50k states of CSR arrays, and so a no-op resubmission can hand the same
-    /// allocation back to the next checker (pointer equality then short-cuts
-    /// the structure comparison in [`ModelChecker::reuse_from`]).
     kripke: Arc<Kripke>,
-    memo: SatMemo,
 }
 
 impl SatSnapshot {
-    /// Number of memoized sets in the snapshot.
-    pub fn len(&self) -> usize {
-        self.memo.sat.iter().filter(|set| set.is_some()).count()
-    }
-
-    /// True if the snapshot holds no sets.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The structure the sets were computed over. An incremental caller hands
-    /// this same allocation to the next check when its model did not change.
+    /// The structure the snapshot was taken over.
     pub fn kripke(&self) -> &Arc<Kripke> {
         &self.kripke
     }
+}
+
+/// `ModelChecker::new(kripke).check_all(formulas)`; every other argument is
+/// ignored. Kept only because the benchmark harness's replay still calls it.
+#[doc(hidden)]
+pub fn check_all_parallel_with(
+    kripke: &Kripke,
+    _: Engine,
+    formulas: &[Ctl],
+    _: usize,
+    _: usize,
+    _: usize,
+) -> Vec<CheckResult> {
+    ModelChecker::new(kripke).check_all(formulas)
 }
 
 /// A CTL model checker over one Kripke structure.
@@ -158,44 +153,18 @@ impl<'a> ModelChecker<'a> {
         Self::new(kripke)
     }
 
-    /// Arms this checker with sat-set reuse from a previous check's
-    /// [`SatSnapshot`] (the incremental re-verification path). If the
-    /// snapshot's structure is this checker's own allocation or equals it
-    /// field-for-field, the checker starts from the snapshot's memo, so every
-    /// set it holds (temporal ones included) is reused as-is; otherwise the
-    /// checker stays cold. Either way every verdict, violating-state count and
-    /// counterexample trace is byte-identical to a fresh check.
-    ///
-    /// `_dirty_atom_prefixes` is unused. It stays in the signature only for the
-    /// benchmark's replay (`perfbench/harness/src/replay.rs`), which passes it.
-    pub fn reuse_from(self, prev: &SatSnapshot, _dirty_atom_prefixes: &[String]) -> Self {
-        if std::ptr::eq(Arc::as_ptr(&prev.kripke), self.kripke) || *prev.kripke == *self.kripke {
-            *self.memo.borrow_mut() = prev.memo.clone();
-        }
+    /// Returns the checker unchanged: sat sets are not reused across checks.
+    /// Kept only because the benchmark harness's replay still calls it.
+    #[doc(hidden)]
+    pub fn reuse_from(self, _: &SatSnapshot, _: &[String]) -> Self {
         self
     }
 
-    /// Exports this checker's memoized sat sets (plus an owned clone of the
-    /// structure) for reuse by a later [`ModelChecker::reuse_from`] checker.
-    /// Callers that already own the structure behind an [`Arc`] should prefer
-    /// [`ModelChecker::snapshot_with`], which skips the clone.
-    pub fn snapshot(&self) -> SatSnapshot {
-        self.export_sets(Arc::new(self.kripke.clone()))
-    }
-
-    /// Exports this checker's memoized sat sets against a caller-supplied
-    /// handle to the *same* structure the checker was built over, avoiding the
-    /// structure clone of [`ModelChecker::snapshot`].
+    /// Wraps `kripke` in a [`SatSnapshot`]. Kept only because the benchmark
+    /// harness's replay still calls it.
+    #[doc(hidden)]
     pub fn snapshot_with(&self, kripke: Arc<Kripke>) -> SatSnapshot {
-        debug_assert!(
-            std::ptr::eq(Arc::as_ptr(&kripke), self.kripke),
-            "snapshot_with must receive the checker's own structure"
-        );
-        self.export_sets(kripke)
-    }
-
-    fn export_sets(&self, kripke: Arc<Kripke>) -> SatSnapshot {
-        SatSnapshot { kripke, memo: self.memo.borrow().clone() }
+        SatSnapshot { kripke }
     }
 
     /// Abort poll point: unwinds with the abort sentinel when the constructing
@@ -608,13 +577,8 @@ mod tests {
     /// A 100-state ring (more than one bitset word): p on even states, q only on
     /// state 99.
     fn ring_kripke() -> Kripke {
-        ring_with_successors(|s| vec![(s + 1) % 100])
-    }
-
-    /// The 100-state ring's states and labels over caller-chosen edges.
-    fn ring_with_successors(succ: impl Fn(usize) -> Vec<usize>) -> Kripke {
         let n = 100;
-        let succs: Vec<Vec<usize>> = (0..n).map(succ).collect();
+        let succs: Vec<Vec<usize>> = (0..n).map(|s| vec![(s + 1) % n]).collect();
         let names: Vec<String> = (0..n).map(|s| format!("r{s}")).collect();
         let mut kripke =
             Kripke::from_lists(vec!["p".into(), "q".into()], names, &succs, vec![0]);
@@ -674,48 +638,6 @@ mod tests {
         drop(memo);
         checker.sat(&Ctl::atom("q").exists_finally());
         assert_eq!(checker.memo.borrow().ops.len(), 5);
-    }
-
-    fn reuse_formulas() -> Vec<Ctl> {
-        vec![
-            Ctl::atom("p").implies(Ctl::atom("q").exists_finally()).always_globally(),
-            Ctl::atom("q").always_finally(),
-            Ctl::atom("p").and(Ctl::atom("q").not()).exists_finally(),
-            Ctl::Eg(Box::new(Ctl::atom("p").not())),
-        ]
-    }
-
-    #[test]
-    fn snapshot_reuse_on_identical_structure_is_byte_identical() {
-        let kripke = ring_kripke();
-        let formulas = reuse_formulas();
-        let cold = ModelChecker::new(&kripke);
-        let cold_results = cold.check_all(&formulas);
-        let snapshot = cold.snapshot();
-        assert!(!snapshot.is_empty());
-        // An equal structure in another allocation, and the snapshot's own.
-        for structure in [&ring_kripke(), snapshot.kripke().as_ref()] {
-            let warm = ModelChecker::new(structure).reuse_from(&snapshot, &[]);
-            // Every node (temporal included) is seeded before any computation.
-            let seeded = warm.memo.borrow().sat.iter().filter(|set| set.is_some()).count();
-            assert_eq!(seeded, snapshot.len());
-            assert_eq!(warm.check_all(&formulas), cold_results);
-        }
-    }
-
-    #[test]
-    fn snapshot_reuse_on_a_changed_structure_stays_cold() {
-        // The same states and labels as the ring, plus one edge (99 -> 50).
-        let changed = ring_with_successors(|s| if s == 99 { vec![0, 50] } else { vec![s + 1] });
-        let formulas = reuse_formulas();
-        let ring = ring_kripke();
-        let cold = ModelChecker::new(&ring);
-        cold.check_all(&formulas);
-        let snapshot = cold.snapshot();
-        let warm = ModelChecker::new(&changed).reuse_from(&snapshot, &[]);
-        assert!(warm.memo.borrow().ops.is_empty(), "a changed structure seeds nothing");
-        let fresh = ModelChecker::new(&changed).check_all(&formulas);
-        assert_eq!(warm.check_all(&formulas), fresh);
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! keys event states on a packed `(destination, class)` integer, writes the
 //! label rows directly, and emits both CSRs from counting-sorted per-model-state
 //! target groups. It is struct-equal to the reference builder in [`reference`],
-//! which only tests call. It is also the only production builder: an
-//! incremental re-check of a changed union builds from scratch too, because
-//! that is faster than splicing the edit into the previous structure.
+//! which only tests call. It is also the only production builder: a group
+//! re-verified after an edit builds from scratch too, because that is faster
+//! than splicing the edit into the previous structure.
 
 use crate::bitset::BitSet;
 use soteria_model::{StateId, StateModel, TransitionLabel};
@@ -51,8 +51,8 @@ pub mod reference;
 ///
 /// `PartialEq` compares every field (atoms, labelling rows, both CSR arrays,
 /// naming data); two equal structures are interchangeable for checking, which
-/// is what lets a [`crate::SatSnapshot`] from a previous check be reused
-/// wholesale when the structure did not change.
+/// is what the builder's struct-equality gates against
+/// [`reference::from_state_model`] rely on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Kripke {
     /// The atomic-proposition universe.

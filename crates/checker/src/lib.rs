@@ -13,13 +13,6 @@
 //!   fixpoints over packed bitsets, cross-property satisfaction-set sharing through
 //!   the batch [`ModelChecker::check_all`] entry point, and counter-example
 //!   extraction;
-//! * [`check_all_parallel`] — property-level fan-out: shards a batch of
-//!   independent root formulas across per-thread checkers (one sat-set memo per
-//!   shard) on large universes, byte-identical to the sequential batch;
-//! * [`SatSnapshot`] — a frozen export of one checker's memoized satisfaction
-//!   sets for incremental re-verification: a later checker over an equal
-//!   structure starts from the snapshot's memo via [`ModelChecker::reuse_from`]
-//!   instead of recomputing, byte-identically;
 //! * [`LegacyModelChecker`] — the frozen pre-CSR round-based checker, the one
 //!   independent checker oracle of the differential tests
 //!   (`tests/engine_differential.rs`);
@@ -33,13 +26,11 @@ pub mod kripke;
 // `kripke::reference` for the Kripke builder (a child of `kripke` so it can
 // set the private CSR fields).
 pub mod legacy;
-pub mod parallel;
 pub mod smv;
 
 pub use bitset::BitSet;
-pub use checker::{CheckResult, Engine, ModelChecker, SatSnapshot};
+pub use checker::{check_all_parallel_with, CheckResult, Engine, ModelChecker, SatSnapshot};
 pub use ctl::Ctl;
 pub use kripke::Kripke;
 pub use legacy::LegacyModelChecker;
-pub use parallel::{check_all_parallel, check_all_parallel_with, PARALLEL_UNIVERSE};
 pub use smv::{render_smv, smv_formula};

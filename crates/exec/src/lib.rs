@@ -1,9 +1,9 @@
 //! Dependency-free parallel execution layer for the analysis fan-out sites.
 //!
-//! Soteria's hot loops — the per-app corpus sweep and the per-group property
-//! sweeps — are *independent iterations over immutable inputs*: the analyzer
-//! borrows `&self` and the checker borrows an immutable `Kripke`. This crate
-//! provides the primitives they share:
+//! Soteria's hot loops — the per-app corpus sweep and the per-group
+//! environment sweep — are *independent iterations over immutable inputs*: the
+//! analyzer only borrows `&self` and the member analyses. This crate provides
+//! the primitives they share:
 //!
 //! * [`WorkerPool`] — a persistent pool of long-lived worker threads fed by an
 //!   injector queue: [`WorkerPool::spawn`] for fire-and-forget `'static` jobs
@@ -12,11 +12,6 @@
 //! * [`global_pool`] / [`pool_map`] — the process-wide shared pool used by the
 //!   analysis batch helpers, eliminating the per-call thread-spawn overhead that
 //!   PR 3 paid on ms-scale sweeps;
-//! * [`par_map`] — the PR 3 entry point, now a thin wrapper that runs one
-//!   [`WorkerPool::install`] on a transient pool (identical semantics:
-//!   deterministic output ordering, dynamic chunk claiming, a strictly
-//!   sequential fallback at one worker, first-panic propagation with the
-//!   original payload);
 //! * [`scoped_map`] — the original scoped-thread implementation, kept as the
 //!   reference the pooled paths are gated against;
 //! * [`resolve_threads`] — the worker-count policy: an explicit configuration
@@ -29,8 +24,8 @@
 //! (`R: Send`); there is no locking on the data path. The mutexes in the pool
 //! collect finished chunks (touched once per chunk, not per item) and guard the
 //! injector queue (touched once per task). Callers that need per-worker mutable
-//! scratch (e.g. the checker's sat-set memo) allocate it inside `f` — one
-//! instance per chunk — instead of sharing it.
+//! scratch (e.g. a checker's sat-set memo) allocate it inside `f` — one
+//! instance per item — instead of sharing it.
 //!
 //! Every call site must preserve the sequential result exactly: the map
 //! primitives guarantee ordering, and the callers guarantee their per-item
@@ -59,38 +54,12 @@ pub use soteria_sync::{lock_recover, recover};
 /// The environment variable overriding the worker count (`0` or unset = auto).
 pub const THREADS_ENV: &str = "SOTERIA_THREADS";
 
-/// The environment variable overriding the property-level fan-out threshold
-/// (`soteria_checker::PARALLEL_UNIVERSE`; `0` or unset = that default). The
-/// fan-out is byte-identical to the sequential batch, so forcing it on
-/// (`SOTERIA_SHARD_STATES=1`) only changes scheduling — which is how CI
-/// exercises the property fan-out on small models.
-pub const SHARD_STATES_ENV: &str = "SOTERIA_SHARD_STATES";
-
-/// Resolves a state-count sharding threshold.
-///
-/// Priority: an explicit non-zero `configured` value (e.g.
-/// `AnalysisConfig::property_shard_states`), then a non-zero
-/// [`SHARD_STATES_ENV`] environment variable, then the call site's `default`.
-pub fn resolve_shard_states(configured: usize, default: usize) -> usize {
-    if configured > 0 {
-        return configured;
-    }
-    if let Ok(value) = std::env::var(SHARD_STATES_ENV) {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    default
-}
-
 thread_local! {
     /// True on parallel worker threads (pool workers, scoped workers, and callers
-    /// participating in a pooled map). Nested fan-out sites (a batch analysis
-    /// worker reaching a parallel property sweep) resolve to
-    /// sequential execution instead of oversubscribing the machine with up to
-    /// `threads²` live workers.
+    /// participating in a pooled map). Nested fan-out sites (a service job on a
+    /// pool worker reaching a batch analysis helper) resolve to sequential
+    /// execution instead of oversubscribing the machine with up to `threads²`
+    /// live workers.
     static IN_PAR_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -125,8 +94,8 @@ impl Drop for ParWorkerGuard {
 /// On a parallel worker thread this always returns 1 — the outer fan-out owns
 /// the machine, and inner sites run sequentially (results are thread-count
 /// invariant, so only scheduling changes). A top-level *sequential* call
-/// (`threads == 1` never spawns) does not mark the caller, so e.g. a lone
-/// `analyze_environment` still parallelizes its property sweep.
+/// (`threads == 1` never spawns) does not mark the caller, so a batch helper
+/// called from inside it still fans out.
 pub fn resolve_threads(configured: usize) -> usize {
     if in_par_worker() {
         return 1;
@@ -144,50 +113,11 @@ pub fn resolve_threads(configured: usize) -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Maps `f` over `items` on up to `threads` workers, returning the results in
-/// input order.
-///
-/// Since PR 4 this is a thin wrapper over a *transient* [`WorkerPool`] (spawned
-/// for the call, drained and joined before returning) with exactly the PR 3
-/// contract: the output is identical to `items.iter().map(f).collect()` for
-/// every `threads` value and every interleaving; contiguous chunks are claimed
-/// dynamically off an atomic counter so uneven per-item cost still balances.
-/// Repeated ms-scale batch calls should prefer [`pool_map`], which reuses the
-/// shared [`global_pool`] instead of paying the per-call spawns.
-///
-/// With `threads <= 1`, a single item, an empty slice, or when already running
-/// on a parallel worker, no thread is spawned and `f` runs on the caller's
-/// thread.
-///
-/// # Panics
-///
-/// If `f` panics on any item, the first recorded worker panic is re-raised on the
-/// caller's thread with its original payload once all workers have stopped, so a
-/// corpus-app assertion failure reads the same under `SOTERIA_THREADS=8` as
-/// sequentially. Unclaimed chunks are abandoned after a panic (workers check an
-/// abort flag before claiming), bounding the wasted work to the chunks already in
-/// flight.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = if in_par_worker() { 1 } else { threads.max(1).min(items.len()) };
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    // Caller participates in `install`, so `threads - 1` pool workers reproduce
-    // the PR 3 concurrency of `threads` scoped threads.
-    let transient = WorkerPool::new(threads - 1);
-    transient.install(items, threads, f)
-}
-
 /// The original PR 3 scoped-thread parallel map: spawns `threads` workers via
 /// [`std::thread::scope`] on every call.
 ///
-/// Kept as the reference implementation the pooled paths ([`par_map`],
-/// [`pool_map`], [`WorkerPool::install`]) are gated against in
+/// Kept as the reference implementation the pooled paths ([`pool_map`],
+/// [`WorkerPool::install`]) are gated against in
 /// `tests/parallel_determinism.rs` — and as the per-call-spawn baseline that
 /// the pool replaces.
 pub fn scoped_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
@@ -265,9 +195,9 @@ mod tests {
     #[test]
     fn empty_and_single_item_run_on_the_caller_thread() {
         let caller = std::thread::current().id();
-        let empty: Vec<i32> = par_map(&[] as &[i32], 8, |x| *x);
+        let empty: Vec<i32> = pool_map(&[] as &[i32], 8, |x| *x);
         assert!(empty.is_empty());
-        let one = par_map(&[7], 8, |x| {
+        let one = pool_map(&[7], 8, |x| {
             assert_eq!(std::thread::current().id(), caller);
             x + 1
         });
@@ -277,7 +207,7 @@ mod tests {
     #[test]
     fn sequential_fallback_at_one_thread() {
         let caller = std::thread::current().id();
-        let out = par_map(&[1, 2, 3], 1, |x| {
+        let out = pool_map(&[1, 2, 3], 1, |x| {
             assert_eq!(std::thread::current().id(), caller);
             x * 10
         });
@@ -286,21 +216,24 @@ mod tests {
 
     #[test]
     fn panic_payload_is_propagated() {
+        let items = [0usize, 1, 2, 3, 4, 5, 6, 7];
         let result = panic::catch_unwind(|| {
-            par_map(&[0usize, 1, 2, 3, 4, 5, 6, 7], 4, |&x| {
+            pool_map(&items, 4, |&x| {
                 if x == 5 {
                     panic!("item five failed");
                 }
                 x
             })
         });
-        let payload = result.expect_err("par_map must propagate the worker panic");
+        let payload = result.expect_err("pool_map must propagate the worker panic");
         let message = payload
             .downcast_ref::<&str>()
             .copied()
             .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
             .unwrap_or("");
         assert!(message.contains("item five failed"), "payload lost: {message:?}");
+        // The shared pool survives the panic and keeps serving.
+        assert_eq!(pool_map(&items, 4, |&x| x + 1), vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
@@ -324,23 +257,15 @@ mod tests {
     }
 
     #[test]
-    fn resolve_shard_states_prefers_explicit_configuration() {
-        assert_eq!(resolve_shard_states(123, 500), 123);
-        // Unconfigured resolution is the env override (the CI leg sets
-        // SOTERIA_SHARD_STATES=1) or the call site's default — positive either way.
-        assert!(resolve_shard_states(0, 500) >= 1);
-    }
-
-    #[test]
     fn nested_fan_out_resolves_to_sequential() {
         // On a parallel worker even an explicit configuration resolves to 1: the
         // outer fan-out owns the machine.
-        let inner = par_map(&[(); 8], 4, |_| resolve_threads(8));
+        let inner = pool_map(&[(); 8], 4, |_| resolve_threads(8));
         assert!(inner.iter().all(|&n| n == 1), "nested resolution: {inner:?}");
         // Back on the caller's thread the explicit value wins again.
         assert_eq!(resolve_threads(8), 8);
-        // A sequential par_map does not mark the caller as a worker.
-        let seq = par_map(&[()], 1, |_| resolve_threads(6));
+        // A sequential pool_map does not mark the caller as a worker.
+        let seq = pool_map(&[()], 1, |_| resolve_threads(6));
         assert_eq!(seq, vec![6]);
     }
 
@@ -353,7 +278,6 @@ mod tests {
         fn map_primitives_match_sequential_map((len, threads) in (0usize..200, 1usize..9)) {
             let items: Vec<usize> = (0..len).collect();
             let expected: Vec<usize> = items.iter().map(|x| x * 3 + 1).collect();
-            prop_assert_eq!(par_map(&items, threads, |x| x * 3 + 1), expected.clone());
             prop_assert_eq!(scoped_map(&items, threads, |x| x * 3 + 1), expected.clone());
             prop_assert_eq!(pool_map(&items, threads, |x| x * 3 + 1), expected);
         }

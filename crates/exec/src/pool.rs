@@ -8,9 +8,10 @@
 //! * [`WorkerPool::spawn`] — a fire-and-forget `'static` task for the injector
 //!   queue (the job-queue door used by `soteria-service`);
 //! * [`WorkerPool::install`] — a *scoped* deterministic parallel map over borrowed
-//!   data with exactly the [`par_map`](crate::par_map) contract: output identical
-//!   to `items.iter().map(f)` at every worker count, dynamic chunk claiming,
-//!   sequential fallback, first-panic propagation with the original payload.
+//!   data with exactly the [`scoped_map`](crate::scoped_map) contract: output
+//!   identical to `items.iter().map(f)` at every worker count, dynamic chunk
+//!   claiming, sequential fallback, first-panic propagation with the original
+//!   payload.
 //!
 //! # How `install` borrows across `'static` tasks
 //!
@@ -90,8 +91,8 @@ struct Shared {
 ///
 /// Construction spawns the threads; drop drains the queue and joins them. One
 /// process-wide instance is shared by the analysis batch helpers
-/// ([`global_pool`]); transient instances back [`par_map`](crate::par_map) and
-/// per-service pools with explicit lifecycles.
+/// ([`global_pool`]); other instances are per-service pools with explicit
+/// lifecycles.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -111,8 +112,7 @@ impl WorkerPool {
     pub fn new(workers: usize) -> Self {
         // Each worker holds its own `Arc` of the queue state, so the state
         // outlives any thread that is still draining during (or detached by)
-        // drop, and transient pools — `par_map` creates one per call — free it
-        // when the last worker exits.
+        // drop, and a dropped pool frees it when the last worker exits.
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 tasks: VecDeque::new(),
@@ -217,8 +217,8 @@ impl WorkerPool {
 
     /// Maps `f` over `items` on the caller plus up to `threads - 1` pool workers,
     /// returning results in input order — the pooled equivalent of
-    /// [`par_map`](crate::par_map), byte-identical to it (and to the sequential
-    /// map) for every `threads` value, pool size, and scheduling.
+    /// [`scoped_map`](crate::scoped_map), byte-identical to it (and to the
+    /// sequential map) for every `threads` value, pool size, and scheduling.
     ///
     /// With `threads <= 1`, a single item, or an empty slice, `f` runs entirely
     /// on the caller's thread and the pool is not touched.
@@ -476,8 +476,8 @@ pub fn global_pool() -> &'static WorkerPool {
     POOL.get_or_init(|| WorkerPool::new(resolve_threads(0)))
 }
 
-/// [`par_map`](crate::par_map) semantics on the shared [`global_pool`]: the
-/// spawn-free fast path for repeated ms-scale batch calls.
+/// [`WorkerPool::install`] on the shared [`global_pool`]: the spawn-free
+/// parallel map for repeated ms-scale batch calls.
 pub fn pool_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -668,9 +668,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_map_matches_par_map_on_the_global_pool() {
+    fn pool_map_matches_scoped_map_on_the_global_pool() {
         let items: Vec<usize> = (0..97).collect();
-        let expected = crate::par_map(&items, 4, |x| x * 11);
+        let expected = crate::scoped_map(&items, 4, |x| x * 11);
         assert_eq!(pool_map(&items, 4, |x| x * 11), expected);
         assert!(global_pool().workers() >= 1);
         assert!(global_pool().tasks_executed() > 0 || global_pool().workers() == 1);

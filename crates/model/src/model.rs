@@ -40,11 +40,10 @@ impl fmt::Display for TransitionLabel {
 
 /// A labelled transition between two states.
 ///
-/// The label is behind an [`Arc`] so that union-model splices (the incremental
-/// re-verification path keeps every unchanged member's transition block and
-/// replaces only the edited member's) copy two indices and a refcount instead
-/// of deep-cloning the label's strings. Equality and hashing still compare the
-/// label by value.
+/// The label is behind an [`Arc`] so that the transitions a union lifts from
+/// one compiled edge share one label: each copies two indices and a refcount
+/// instead of deep-cloning the label's strings. Equality and hashing still
+/// compare the label by value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Transition {
     /// Source state.

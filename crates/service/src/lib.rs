@@ -362,11 +362,6 @@ mod tests {
         assert_eq!(envs.len(), 1, "one resident group contains b");
         assert_eq!(envs[0].name(), "G");
         let warm = envs[0].wait().expect("members parse");
-        assert_eq!(
-            service.stats().env_incremental,
-            1,
-            "single-member edit did not route through the incremental path"
-        );
 
         // Byte-identical to analyzing the edited group from scratch — and the
         // edit is actually visible (the cold run's verdicts differ).
@@ -389,6 +384,44 @@ mod tests {
         let (_, none) = admitted(|| service.resubmit("lone", WATER_LEAK))
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn resubmit_reverifies_groups_without_checkable_app_specific_formulas() {
+        // G's only finding is the general G.1 conflict (one app turns the
+        // switch on, the other off); no P.1–P.30 formula applies to it.
+        let service = service_with_workers(2);
+        let a = submit(&service, "a", SMOKE_ON);
+        let b = submit(&service, "b", SMOKE_OFF);
+        let cold = submit_env(&service, "G", &[a, b]).wait().expect("members parse");
+        let g1 = soteria::properties::PropertyId::General(1);
+        let properties: Vec<_> = cold.violations.iter().map(|v| v.property).collect();
+        assert_eq!(properties, [g1]);
+
+        // Edit b to turn the switch on as well: the conflict is gone (the two
+        // apps now repeat one action instead, a G.2 finding).
+        let agreeing = SMOKE_OFF.replace("sw.off()", "sw.on()");
+        let (app, envs) = admitted(|| service.resubmit("b", &agreeing))
+            .unwrap_or_else(|e| panic!("{e}"));
+        app.wait().expect("edited source parses");
+        assert_eq!(envs.len(), 1, "the group containing b was not re-verified");
+        assert_eq!(envs[0].name(), "G");
+        let warm = envs[0].wait().expect("members parse");
+        assert!(
+            warm.violations.iter().all(|v| v.property != g1),
+            "G.1 survived the edit: {:?}",
+            warm.violations
+        );
+
+        let soteria = service.soteria();
+        let direct_a = soteria.analyze_app("a", SMOKE_ON).unwrap();
+        let direct_b = soteria.analyze_app("b", &agreeing).unwrap();
+        let direct = soteria.analyze_environment("G", &[direct_a, direct_b]);
+        assert_eq!(warm.violations, direct.violations);
+        assert_eq!(
+            soteria::render_environment_report(&warm),
+            soteria::render_environment_report(&direct)
+        );
     }
 
     #[test]

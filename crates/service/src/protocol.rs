@@ -92,10 +92,10 @@ pub enum Request {
         /// Member app job names.
         members: Vec<String>,
     },
-    /// Resubmit an edited app and incrementally re-verify every resident
-    /// environment group that contains it ([`Service::resubmit`]): the union
-    /// is rebuilt by delta against the group's cached base and the check
-    /// reuses the previous run's satisfaction sets, byte-identically.
+    /// Resubmit an edited app and re-verify every resident environment group
+    /// that contains it ([`Service::resubmit`]): each group is analyzed again
+    /// with the edited member in place, exactly as an `env` request over the
+    /// new members would be.
     ///
     /// [`Service::resubmit`]: crate::Service::resubmit
     Update {
@@ -411,7 +411,6 @@ pub fn stats_response(job: usize, stats: &ServiceStats) -> JsonValue {
         ("tasks_executed", JsonValue::Number(stats.tasks_executed as f64)),
         ("submitted", JsonValue::Number(stats.submitted as f64)),
         ("coalesced", JsonValue::Number(stats.coalesced as f64)),
-        ("env_incremental", JsonValue::Number(stats.env_incremental as f64)),
         ("rejected", JsonValue::Number(stats.rejected as f64)),
         ("cancelled", JsonValue::Number(stats.cancelled as f64)),
         ("timed_out", JsonValue::Number(stats.timed_out as f64)),

@@ -8,7 +8,6 @@ use crate::cache::{
 use crate::store::{PersistentStore, StoreBucket, StoreStats};
 use crate::ticket::{PendingJob, Ticket};
 use soteria::JsonValue;
-use soteria::checker::SatSnapshot;
 use soteria::{AppAnalysis, EnvironmentAnalysis, Soteria};
 use soteria_exec::{AbortHandle, TaskId, WorkerPool};
 use soteria_lang::ParseError;
@@ -944,9 +943,6 @@ pub struct ServiceStats {
     pub submitted: u64,
     /// Submissions that attached to an identical in-flight job.
     pub coalesced: u64,
-    /// Environment jobs routed through the incremental re-verification path
-    /// (delta-union + sat-set reuse against the group's retained base).
-    pub env_incremental: u64,
     /// Submissions rejected with [`ServiceError::QueueFull`].
     pub rejected: u64,
     /// Jobs settled as [`JobError::Cancelled`].
@@ -996,20 +992,6 @@ impl RegistryEntry {
     }
 }
 
-/// The incremental-reverification base retained per environment *group name*:
-/// the last successful analysis plus the checker's exported satisfaction sets.
-/// When the group is resubmitted with exactly one member's key changed, the
-/// union is rebuilt from scratch, and one equal to `analysis.union_model` is
-/// checked from `snapshot`'s memo — byte-identical to a cold run, just cheaper
-/// (see `Soteria::analyze_environment_incremental`). One entry
-/// per live group name; overwritten on every successful environment job.
-struct EnvBase {
-    member_names: Vec<String>,
-    member_keys: Vec<CacheKey>,
-    analysis: Arc<EnvironmentAnalysis>,
-    snapshot: Arc<SatSnapshot>,
-}
-
 /// One scheduled (miss-path) job under deadline/drain supervision. Entries are
 /// pruned once their control reaches a terminal stage.
 #[derive(Clone)]
@@ -1036,10 +1018,11 @@ pub struct ServiceInner {
     /// `env` submissions coalesce instead of running the union twice. Entries
     /// are removed at completion or cancellation.
     envs_in_flight: Mutex<HashMap<u128, InFlight<EnvKind>>>,
-    /// Latest successful analysis + sat-set snapshot per environment group
-    /// name, consumed by the incremental re-verification path (see
-    /// [`EnvBase`]). Bounded by distinct group names submitted to the service.
-    env_bases: Mutex<HashMap<String, EnvBase>>,
+    /// Member names of the latest successful job per environment group name,
+    /// computed or restored from the store; [`Service::resubmit`] reads it to
+    /// find the groups an edited app belongs to. Bounded by distinct group
+    /// names submitted to the service.
+    env_groups: Mutex<HashMap<String, Vec<String>>>,
     /// Every scheduled job not yet terminal, for the deadline sweeper, the
     /// drain, and the drop-settles-everything path. Pruned at every settle.
     watched: Mutex<Vec<Watched>>,
@@ -1065,7 +1048,6 @@ pub struct ServiceInner {
     draining: AtomicBool,
     submitted: AtomicU64,
     coalesced: AtomicU64,
-    env_incremental: AtomicU64,
     rejected: AtomicU64,
     cancelled: AtomicU64,
     timed_out: AtomicU64,
@@ -1711,7 +1693,7 @@ impl Service {
             envs: Mutex::new(ResultCache::new(options.cache_capacity)),
             registry: Mutex::new(HashMap::new()),
             envs_in_flight: Mutex::new(HashMap::new()),
-            env_bases: Mutex::new(HashMap::new()),
+            env_groups: Mutex::new(HashMap::new()),
             watched: Mutex::new(Vec::new()),
             store,
             fault_log: Mutex::new(VecDeque::new()),
@@ -1725,7 +1707,6 @@ impl Service {
             draining: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            env_incremental: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
@@ -2022,15 +2003,14 @@ impl Service {
     /// environment group that contains it (the `update <name>` protocol verb).
     ///
     /// The app goes through [`Service::submit_app`] unchanged — coalescing,
-    /// caching, and admission all apply. Then, for every group whose retained
-    /// incremental base ([`EnvBase`]) lists `name` as a member, an environment
-    /// job is submitted over the new app job plus the other members' frozen
-    /// results; `schedule_environment` routes it through the delta-union +
-    /// sat-set-reuse path because exactly one member key changed. Groups with
-    /// a member that is no longer resolvable (evicted from both the registry
-    /// and the app cache) are skipped — their base is unusable anyway — so an
-    /// update never fails on behalf of an unrelated stale group. Environments
-    /// are returned in group-name order.
+    /// caching, and admission all apply. Then, for every group whose latest
+    /// successful job (computed or restored from the store) lists `name` as a
+    /// member, an environment job is submitted over the new app job plus the
+    /// other members' frozen results. It runs like any other environment job:
+    /// a scratch union and one check of the group. Groups with a member that
+    /// is no longer resolvable (evicted from both the registry and the app
+    /// cache) are skipped, so an update never fails on behalf of an unrelated
+    /// stale group. Environments are returned in group-name order.
     pub fn resubmit(
         &self,
         name: &str,
@@ -2038,11 +2018,11 @@ impl Service {
     ) -> Result<(AppJob, Vec<EnvJob>), ServiceError> {
         let app = self.submit_app(name, source)?;
         let mut groups: Vec<(String, Vec<String>)> = {
-            let bases = self.inner.env_bases.lock();
-            bases
+            let env_groups = self.inner.env_groups.lock();
+            env_groups
                 .iter()
-                .filter(|(_, base)| base.member_names.iter().any(|m| m == name))
-                .map(|(group, base)| (group.clone(), base.member_names.clone()))
+                .filter(|(_, members)| members.iter().any(|m| m == name))
+                .map(|(group, members)| (group.clone(), members.clone()))
                 .collect()
         };
         groups.sort();
@@ -2088,88 +2068,43 @@ impl Service {
             }
             // Disk tier first: a validated stored record rebuilds the union
             // from the live member analyses (the union model is never stored)
-            // and attaches the stored verdicts, skipping verification. No
-            // incremental base is retained for a restored run — the first
-            // *edited* resubmission after a warm start runs cold, then
-            // re-seeds the base. Damage quarantines and falls through.
-            if let Some(env) = inner.restore_env_from_disk(job.key, &job.name, &analyses) {
-                return inner.settle(&control, &job, Ok(env));
-            }
-            // Incremental base: the last successful run of this group name with
-            // the same members in order and exactly one member key differing.
-            // Zero differing keys means the env cache was evicted (rerun cold);
-            // two or more is not a single-member edit.
-            let base = {
-                let bases = inner.env_bases.lock();
-                bases.get(&job.name).and_then(|b| {
-                    if b.member_names.len() != members.len()
-                        || b.member_names.iter().zip(&members).any(|(n, m)| *n != m.name)
-                    {
-                        return None;
-                    }
-                    let mut changed = b
-                        .member_keys
-                        .iter()
-                        .zip(&members)
-                        .enumerate()
-                        .filter(|(_, (k, m))| **k != m.key);
-                    match (changed.next(), changed.next()) {
-                        (Some((idx, _)), None) => Some((
-                            Arc::clone(&b.analysis),
-                            Arc::clone(&b.snapshot),
-                            idx,
-                        )),
-                        _ => None,
-                    }
-                })
+            // and attaches the stored verdicts, skipping verification. Damage
+            // quarantines and falls through to a fresh analysis.
+            let result = match inner.restore_env_from_disk(job.key, &job.name, &analyses) {
+                Some(env) => Ok(env),
+                None => {
+                    // Members stay behind their frozen Arcs — no per-job deep copies.
+                    let env = inner.run_stage(&control, &job.name, job.key, "environment", || {
+                        let refs: Vec<&AppAnalysis> = analyses.iter().map(Arc::as_ref).collect();
+                        inner.soteria.analyze_environment_refs(&job.name, &refs)
+                    });
+                    let Some(env) = env else { return };
+                    env.map(|env| {
+                        let env = Arc::new(env);
+                        // Write-through before settling (see `persist`). The
+                        // payload embeds its own content address: unlike an app
+                        // record — whose key is recomputable from the stored
+                        // name and source — an environment's key derives from
+                        // its member *app keys*, which the record does not
+                        // carry, so the embedded copy is what ties the payload
+                        // to its filename on restore.
+                        inner.persist(StoreBucket::Envs, job.key, || {
+                            JsonValue::object([
+                                ("env_key", JsonValue::string(job.key.to_string())),
+                                ("record", soteria::env_store_json(&env)),
+                            ])
+                        });
+                        env
+                    })
+                }
             };
-            if base.is_some() {
-                inner.env_incremental.fetch_add(1, Ordering::Relaxed);
-                soteria_obs::add("env.incremental", 1);
+            // Record the group's members for `resubmit` before the settle, so
+            // a resubmit racing the fulfilment never misses a group whose
+            // result it just observed.
+            if result.is_ok() {
+                let names = members.iter().map(|m| m.name.clone()).collect();
+                inner.env_groups.lock().insert(job.name.clone(), names);
             }
-            // Members stay behind their frozen Arcs — no per-job deep copies.
-            let env = inner.run_stage(&control, &job.name, job.key, "environment", || {
-                let refs: Vec<&AppAnalysis> = analyses.iter().map(Arc::as_ref).collect();
-                match &base {
-                    Some((analysis, snapshot, changed)) => inner
-                        .soteria
-                        .analyze_environment_incremental(
-                            &job.name, &refs, analysis, snapshot, *changed,
-                        ),
-                    None => inner.soteria.analyze_environment_with_snapshot(&job.name, &refs),
-                }
-            });
-            let Some(env) = env else { return };
-            let result = env.map(|(env, snapshot)| {
-                let env = Arc::new(env);
-                // Retain this run as the next incremental base (before the
-                // settle, so a resubmit racing the fulfilment never reads a
-                // base staler than the result it just observed).
-                if let Some(snapshot) = snapshot {
-                    inner.env_bases.lock().insert(
-                        job.name.clone(),
-                        EnvBase {
-                            member_names: members.iter().map(|m| m.name.clone()).collect(),
-                            member_keys: members.iter().map(|m| m.key).collect(),
-                            analysis: Arc::clone(&env),
-                            snapshot: Arc::new(snapshot),
-                        },
-                    );
-                }
-                // Write-through before settling (see `persist`). The payload
-                // embeds its own content address: unlike an app record —
-                // whose key is recomputable from the stored name and source —
-                // an environment's key derives from its member *app keys*,
-                // which the record does not carry, so the embedded copy is
-                // what ties the payload to its filename on restore.
-                inner.persist(StoreBucket::Envs, job.key, || {
-                    JsonValue::object([
-                        ("env_key", JsonValue::string(job.key.to_string())),
-                        ("record", soteria::env_store_json(&env)),
-                    ])
-                });
-                env
-            });
             inner.settle(&control, &job, result);
         });
         let parked = PendingJob::new(task, Some(Arc::downgrade(&control)));
@@ -2305,7 +2240,6 @@ impl Service {
             tasks_executed: self.inner.pool.tasks_executed(),
             submitted: self.inner.submitted.load(Ordering::Relaxed),
             coalesced: self.inner.coalesced.load(Ordering::Relaxed),
-            env_incremental: self.inner.env_incremental.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
             cancelled: self.inner.cancelled.load(Ordering::Relaxed),
             timed_out: self.inner.timed_out.load(Ordering::Relaxed),

@@ -6,51 +6,16 @@ use crate::report::{
 };
 use soteria_analysis::{abstract_domains, AnalysisConfig, SymbolicExecutor, TransitionSpec};
 use soteria_capability::CapabilityRegistry;
-use soteria_checker::{check_all_parallel, Ctl, Engine, Kripke, ModelChecker, SatSnapshot};
+use soteria_checker::{Ctl, Engine, Kripke, ModelChecker, SatSnapshot};
 use soteria_ir::AppIr;
 use soteria_lang::ParseError;
-use soteria_model::{
-    build_state_model, union_models, BuildOptions, StateModel, Transition, TransitionLabel,
-    UnionOptions,
-};
+use soteria_model::{build_state_model, union_models, BuildOptions, StateModel, UnionOptions};
 use soteria_properties::{
     applicable_properties, check_general, formula, property_info, AppUnderTest, DeviceContext,
     PropertyId, Violation,
 };
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How an environment analysis builds its union model and runs its checks.
-///
-/// Every mode produces a byte-identical [`EnvironmentAnalysis`]; the modes only
-/// differ in how much work they reuse and whether they export a
-/// [`SatSnapshot`] for the *next* analysis of the same group.
-enum EnvMode<'a> {
-    /// From scratch, property-level parallel check, no snapshot (the batch /
-    /// corpus-sweep path — zero overhead when nobody will re-verify).
-    Batch,
-    /// From scratch on a single memo-sharing checker, exporting its sat sets
-    /// (the service's cold path: first analysis of a resident group).
-    Snapshot,
-    /// One member changed: the union is rebuilt from scratch and compared with
-    /// the cached base model's. An unchanged union is checked on the snapshot's
-    /// own structure, reusing every sat set; a changed one gets a scratch
-    /// Kripke build and a cold check. Either way a fresh snapshot is exported.
-    Incremental {
-        base: &'a EnvironmentAnalysis,
-        snapshot: &'a SatSnapshot,
-        changed_member: usize,
-    },
-}
-
-/// The checking half of [`EnvMode`], passed into `check_specific_on_model`.
-enum CheckMode<'a> {
-    Batch,
-    /// One memo-sharing checker whose sets are exported. With a previous
-    /// snapshot, whose structure equals the model's, the check runs on that
-    /// structure and starts from its sat sets.
-    Snapshot(Option<&'a SatSnapshot>),
-}
 
 /// The Soteria analyzer (Fig. 3): obtains the IR of an app, constructs its state
 /// model, and performs model checking against the general and app-specific properties,
@@ -236,62 +201,6 @@ impl Soteria {
         group_name: &str,
         apps: &[&AppAnalysis],
     ) -> EnvironmentAnalysis {
-        self.analyze_environment_impl(group_name, apps, EnvMode::Batch).0
-    }
-
-    /// [`Soteria::analyze_environment_refs`] plus a [`SatSnapshot`] of the
-    /// union check's memoized satisfaction sets — the cold half of incremental
-    /// re-verification. The analysis itself is byte-identical to the plain
-    /// call; the snapshot (when the group had checkable properties) is what a
-    /// later [`Soteria::analyze_environment_incremental`] consumes.
-    pub fn analyze_environment_with_snapshot(
-        &self,
-        group_name: &str,
-        apps: &[&AppAnalysis],
-    ) -> (EnvironmentAnalysis, Option<SatSnapshot>) {
-        self.analyze_environment_impl(group_name, apps, EnvMode::Snapshot)
-    }
-
-    /// Re-analyzes an environment after exactly one member changed, reusing a
-    /// cached base. The union model is rebuilt from scratch, which is faster
-    /// than splicing the edit into the base's union. If it equals the base's
-    /// (an edit that left the member's model as it was), the check runs on the
-    /// snapshot's own structure and reuses every sat set
-    /// ([`ModelChecker::reuse_from`]). Otherwise the Kripke structure is built
-    /// from scratch and checked cold, which is faster than patching the
-    /// previous structure. The result is always byte-identical to
-    /// [`Soteria::analyze_environment_refs`] on the same members. Returns the
-    /// fresh analysis and the next snapshot.
-    pub fn analyze_environment_incremental(
-        &self,
-        group_name: &str,
-        apps: &[&AppAnalysis],
-        base: &EnvironmentAnalysis,
-        snapshot: &SatSnapshot,
-        changed_member: usize,
-    ) -> (EnvironmentAnalysis, Option<SatSnapshot>) {
-        self.analyze_environment_impl(
-            group_name,
-            apps,
-            EnvMode::Incremental { base, snapshot, changed_member },
-        )
-    }
-
-    /// Shared body of the three environment entry points; see [`EnvMode`].
-    fn analyze_environment_impl(
-        &self,
-        group_name: &str,
-        apps: &[&AppAnalysis],
-        mode: EnvMode<'_>,
-    ) -> (EnvironmentAnalysis, Option<SatSnapshot>) {
-        // An out-of-range changed member cannot be incremental; degrade to the
-        // cold snapshot path rather than indexing past the member list.
-        let mode = match mode {
-            EnvMode::Incremental { changed_member, .. } if changed_member >= apps.len() => {
-                EnvMode::Snapshot
-            }
-            m => m,
-        };
         let started = Instant::now();
         let models: Vec<&StateModel> = apps.iter().map(|a| &a.model).collect();
         let union_options = UnionOptions::default();
@@ -299,15 +208,7 @@ impl Soteria {
         let union_time = started.elapsed();
 
         let verification_started = Instant::now();
-        let under_test: Vec<AppUnderTest<'_>> = apps
-            .iter()
-            .map(|a| AppUnderTest {
-                name: a.ir.name.as_str(),
-                ir: &a.ir,
-                specs: &a.specs,
-                summaries: &a.summaries,
-            })
-            .collect();
+        let under_test = apps_under_test(apps);
         let app_names: Vec<String> = apps.iter().map(|a| a.ir.name.clone()).collect();
         let mut violations = check_general(&under_test, &self.registry);
 
@@ -326,25 +227,11 @@ impl Soteria {
                 Some(start)
             })
             .collect();
-        let check_mode = match &mode {
-            EnvMode::Batch => CheckMode::Batch,
-            EnvMode::Incremental { base, snapshot, .. }
-                if union_unchanged(&union_model, base, snapshot) =>
-            {
-                CheckMode::Snapshot(Some(snapshot))
-            }
-            EnvMode::Snapshot | EnvMode::Incremental { .. } => CheckMode::Snapshot(None),
-        };
         // The union model uses the abstractions already baked into the per-app models;
         // an aggregate abstraction is only needed for FP re-checking, so reuse the
         // first app's (values outside any domain collapse to `other`).
-        let (specific, out_snapshot) = self.check_specific_on_model(
-            &union_model,
-            &ctx,
-            &app_names,
-            &all_specs,
-            check_mode,
-            |kept| {
+        let specific =
+            self.check_specific_on_model(&union_model, &ctx, &app_names, &all_specs, |kept| {
                 let filtered_models: Vec<StateModel> = apps
                     .iter()
                     .enumerate()
@@ -366,8 +253,7 @@ impl Soteria {
                     .collect();
                 let refs: Vec<&StateModel> = filtered_models.iter().collect();
                 union_models(group_name, &refs, &union_options)
-            },
-        );
+            });
         violations.extend(specific);
         // Individual-app violations are reported by individual analysis; keep only the
         // findings that need the environment (multiple apps involved or not present in
@@ -381,17 +267,48 @@ impl Soteria {
         });
         let verification_time = verification_started.elapsed();
 
-        (
-            EnvironmentAnalysis {
-                name: group_name.to_string(),
-                app_names,
-                union_model,
-                violations,
-                union_time,
-                verification_time,
-            },
-            out_snapshot,
-        )
+        EnvironmentAnalysis {
+            name: group_name.to_string(),
+            app_names,
+            union_model,
+            violations,
+            union_time,
+            verification_time,
+        }
+    }
+
+    /// [`Soteria::analyze_environment_refs`] plus a [`SatSnapshot`] handle to
+    /// `default_initial_kripke` of the union, present exactly when the group
+    /// has a checkable app-specific formula. Kept only because the benchmark
+    /// harness's replay and its tests still call it.
+    #[doc(hidden)]
+    pub fn analyze_environment_with_snapshot(
+        &self,
+        group_name: &str,
+        apps: &[&AppAnalysis],
+    ) -> (EnvironmentAnalysis, Option<SatSnapshot>) {
+        let env = self.analyze_environment_refs(group_name, apps);
+        let ctx = DeviceContext::from_apps(&apps_under_test(apps));
+        let snapshot = (!checkable_formulas(&ctx).is_empty()).then(|| {
+            let kripke = Arc::new(default_initial_kripke(&env.union_model));
+            ModelChecker::new(&kripke).snapshot_with(Arc::clone(&kripke))
+        });
+        (env, snapshot)
+    }
+
+    /// [`Soteria::analyze_environment_with_snapshot`]; the base, snapshot and
+    /// changed-member arguments are ignored. Kept only because the benchmark
+    /// harness's replay and its tests still call it.
+    #[doc(hidden)]
+    pub fn analyze_environment_incremental(
+        &self,
+        group_name: &str,
+        apps: &[&AppAnalysis],
+        _: &EnvironmentAnalysis,
+        _: &SatSnapshot,
+        _: usize,
+    ) -> (EnvironmentAnalysis, Option<SatSnapshot>) {
+        self.analyze_environment_with_snapshot(group_name, apps)
     }
 
     /// Rebuilds a full [`AppAnalysis`] from a persistent-store record: re-runs
@@ -480,12 +397,11 @@ impl Soteria {
         ctx: &DeviceContext,
         apps: &[String],
     ) -> Vec<Violation> {
-        self.check_specific_on_model(model, ctx, apps, specs, CheckMode::Batch, |kept| {
+        self.check_specific_on_model(model, ctx, apps, specs, |kept| {
             let kept_owned: Vec<TransitionSpec> =
                 kept.iter().map(|&i| specs[i].clone()).collect();
             build_state_model(&model.name, abstraction, &kept_owned, &BuildOptions::default())
         })
-        .0
     }
 
     /// Shared logic for checking P.1–P.30 on a model. `rebuild_without_reflection`
@@ -494,78 +410,31 @@ impl Soteria {
     /// reflection over-approximation can be marked as possible false positives (the
     /// MalIoT App5 case).
     ///
-    /// The applicable formulas are checked as one batch: in [`CheckMode::Batch`]
-    /// via [`check_all_parallel`] (the ~30 properties share cached subformula
-    /// satisfaction sets within a shard, and above the property threshold the
-    /// shards fan out across per-thread checkers). The snapshot modes run the
-    /// whole batch on one memo-sharing checker instead so its sat sets can be
-    /// exported (and, given a previous snapshot, started from its sets) — the
-    /// existing parallel-identity gate makes the two schedules byte-identical.
-    /// The reflection-free re-check batches the failing formulas the parallel
-    /// way in every mode.
-    #[allow(clippy::too_many_arguments)]
+    /// The applicable formulas are checked as one batch on one memo-sharing
+    /// [`ModelChecker`] (the ~30 properties share subformula satisfaction
+    /// sets), and so are the failing formulas on the reflection-free model.
     fn check_specific_on_model(
         &self,
         model: &StateModel,
         ctx: &DeviceContext,
         apps: &[String],
         specs: &[TransitionSpec],
-        mode: CheckMode<'_>,
         rebuild_without_reflection: impl Fn(&[usize]) -> StateModel,
-    ) -> (Vec<Violation>, Option<SatSnapshot>) {
-        let applicable = applicable_properties(ctx);
-        if applicable.is_empty() {
-            return (Vec::new(), None);
-        }
-        let mut ids: Vec<u8> = Vec::new();
-        let mut formulas: Vec<Ctl> = Vec::new();
-        for id in applicable {
-            let Some(f) = formula(id, ctx) else { continue };
-            if f == Ctl::True {
-                continue;
-            }
-            ids.push(id);
-            formulas.push(f);
-        }
+    ) -> Vec<Violation> {
+        let (ids, formulas): (Vec<u8>, Vec<Ctl>) = checkable_formulas(ctx).into_iter().unzip();
         if formulas.is_empty() {
-            return (Vec::new(), None);
+            return Vec::new();
         }
-        // A previous snapshot's structure equals this model's (see
-        // `union_unchanged`); every other path builds from scratch.
-        let kripke: Arc<Kripke> = match mode {
-            CheckMode::Snapshot(Some(prev)) => Arc::clone(prev.kripke()),
-            _ => Arc::new(default_initial_kripke(model)),
-        };
-        let (results, snapshot) = match mode {
-            CheckMode::Batch => {
-                let _s = soteria_obs::span("check.batch");
-                (
-                    check_all_parallel(
-                        &kripke,
-                        &formulas,
-                        self.threads(),
-                        self.config.property_shard_states,
-                    ),
-                    None,
-                )
-            }
-            CheckMode::Snapshot(reuse) => {
-                let label = if reuse.is_some() { "check.reuse" } else { "check.cold" };
-                let _s = soteria_obs::span(label);
-                let mut checker = ModelChecker::new(&kripke);
-                if let Some(prev) = reuse {
-                    checker = checker.reuse_from(prev, &[]);
-                }
-                let results = checker.check_all(&formulas);
-                let exported = checker.snapshot_with(kripke.clone());
-                (results, Some(exported))
-            }
+        let kripke = default_initial_kripke(model);
+        let results = {
+            let _s = soteria_obs::span("check.batch");
+            ModelChecker::new(&kripke).check_all(&formulas)
         };
 
         let failing: Vec<usize> =
             (0..results.len()).filter(|&i| !results[i].holds).collect();
         if failing.is_empty() {
-            return (Vec::new(), snapshot);
+            return Vec::new();
         }
         // Re-check the failures on the reflection-free model (built once) to flag
         // possible false positives.
@@ -576,15 +445,7 @@ impl Soteria {
             let k = default_initial_kripke(&m);
             let failing_formulas: Vec<Ctl> =
                 failing.iter().map(|&i| formulas[i].clone()).collect();
-            check_all_parallel(
-                &k,
-                &failing_formulas,
-                self.threads(),
-                self.config.property_shard_states,
-            )
-            .iter()
-            .map(|r| r.holds)
-            .collect()
+            ModelChecker::new(&k).check_all(&failing_formulas).iter().map(|r| r.holds).collect()
         } else {
             vec![false; failing.len()]
         };
@@ -606,8 +467,30 @@ impl Soteria {
             }
             violations.push(violation);
         }
-        (violations, snapshot)
+        violations
     }
+}
+
+/// The members as the property layer sees them.
+fn apps_under_test<'a>(apps: &[&'a AppAnalysis]) -> Vec<AppUnderTest<'a>> {
+    apps.iter()
+        .map(|a| AppUnderTest {
+            name: a.ir.name.as_str(),
+            ir: &a.ir,
+            specs: &a.specs,
+            summaries: &a.summaries,
+        })
+        .collect()
+}
+
+/// The applicable app-specific properties whose formula is not trivially
+/// true, as `(id, formula)` pairs in property order.
+fn checkable_formulas(ctx: &DeviceContext) -> Vec<(u8, Ctl)> {
+    applicable_properties(ctx)
+        .into_iter()
+        .filter_map(|id| formula(id, ctx).map(|f| (id, f)))
+        .filter(|(_, f)| *f != Ctl::True)
+        .collect()
 }
 
 /// Builds the Kripke structure of a model and restricts its initial states to the
@@ -619,40 +502,6 @@ pub fn default_initial_kripke(model: &StateModel) -> Kripke {
     // the Kripke id of the default state equals the model's initial state id.
     kripke.initial = vec![model.initial];
     kripke
-}
-
-/// True when the incremental pass may check on the snapshot's own structure:
-/// the rebuilt union equals the base's (a no-op resubmission), so a scratch
-/// build would equal the snapshot's structure, and handing back the same
-/// allocation lets [`ModelChecker::reuse_from`] resolve on pointer equality.
-/// A changed union is built from scratch and checked cold instead.
-fn union_unchanged(
-    union_model: &StateModel,
-    base: &EnvironmentAnalysis,
-    snapshot: &SatSnapshot,
-) -> bool {
-    snapshot.kripke().initial.as_slice() == [union_model.initial]
-        && union_model.name == base.union_model.name
-        && union_model.initial == base.union_model.initial
-        && union_model.attributes == base.union_model.attributes
-        && transitions_equal(&union_model.transitions, &base.union_model.transitions)
-}
-
-/// Value equality of two transition lists. Consecutive transitions of a lifted
-/// block share one label `Arc`, so each run of equal `(left, right)` handles
-/// compares its labels once.
-fn transitions_equal(a: &[Transition], b: &[Transition]) -> bool {
-    let mut run: Option<(&Arc<TransitionLabel>, &Arc<TransitionLabel>)> = None;
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            if x.from != y.from || x.to != y.to {
-                return false;
-            }
-            let in_run =
-                run.is_some_and(|(l, r)| Arc::ptr_eq(l, &x.label) && Arc::ptr_eq(r, &y.label));
-            run = Some((&x.label, &y.label));
-            in_run || x.label == y.label
-        })
 }
 
 #[cfg(test)]
@@ -783,86 +632,6 @@ mod tests {
             assert_eq!(got.violations, want.violations);
             assert_eq!(got.union_model.transitions, want.union_model.transitions);
         }
-    }
-
-    #[test]
-    fn incremental_environment_is_byte_identical_to_batch() {
-        // The same app name and devices as BROKEN_LEAK, with the handler fixed
-        // (close instead of open) — a same-domain single-member edit.
-        let fixed_leak = r#"
-            definition(name: "Broken-Leak-Detector", category: "Safety & Security")
-            preferences { section("d") {
-                input "water_sensor", "capability.waterSensor"
-                input "valve_device", "capability.valve"
-            } }
-            def installed() { subscribe(water_sensor, "water.wet", h) }
-            def h(evt) { valve_device.close() }
-        "#;
-        let soteria = Soteria::new();
-        let a = soteria.analyze_app("wld", WATER_LEAK).unwrap();
-        let b = soteria.analyze_app("broken", BROKEN_LEAK).unwrap();
-        let refs = [&a, &b];
-        let (cold, snapshot) = soteria.analyze_environment_with_snapshot("G", &refs);
-        let batch = soteria.analyze_environment_refs("G", &refs);
-        assert_eq!(cold.violations, batch.violations);
-        assert_eq!(cold.union_model.transitions, batch.union_model.transitions);
-        let snapshot = snapshot.expect("a checkable group exports a snapshot");
-
-        // Edit member 1, re-verify incrementally, and compare to a full rebuild.
-        let edited = soteria.analyze_app("broken", fixed_leak).unwrap();
-        let new_refs = [&a, &edited];
-        let (incremental, next_snapshot) =
-            soteria.analyze_environment_incremental("G", &new_refs, &cold, &snapshot, 1);
-        let scratch = soteria.analyze_environment_refs("G", &new_refs);
-        assert_eq!(incremental.violations, scratch.violations);
-        assert_eq!(incremental.app_names, scratch.app_names);
-        assert_eq!(
-            incremental.union_model.transitions,
-            scratch.union_model.transitions
-        );
-        assert!(next_snapshot.is_some());
-
-        // A no-op "edit" (identical members) exercises the identical-structure
-        // reuse tier and must also reproduce the batch result.
-        let (warm, _) = soteria.analyze_environment_incremental("G", &refs, &cold, &snapshot, 1);
-        assert_eq!(warm.violations, batch.violations);
-        assert_eq!(warm.union_model.transitions, batch.union_model.transitions);
-    }
-
-    #[test]
-    fn transitions_equal_compares_every_run_of_labels() {
-        const SWITCH_FOLLOWER: &str = r#"
-            definition(name: "Switch-Follower")
-            preferences {
-                section("d") {
-                    input "motion", "capability.motionSensor"
-                    input "sw", "capability.switch"
-                }
-            }
-            def installed() {
-                subscribe(motion, "motion.active", h)
-            }
-            def h(evt) {
-                sw.on()
-            }
-        "#;
-        let soteria = Soteria::new();
-        let wld = soteria.analyze_app("wld", WATER_LEAK).unwrap();
-        let follower = soteria.analyze_app("follower", SWITCH_FOLLOWER).unwrap();
-        let members = [&wld.model, &follower.model];
-        let left = union_models("G", &members, &UnionOptions::default());
-        let right = union_models("G", &members, &UnionOptions::default());
-        assert!(transitions_equal(&left.transitions, &right.transitions));
-        // Edit a label inside a run of shared handles, keeping every
-        // `(from, to)`: only comparing the new pair's labels tells the unions
-        // apart.
-        let i = (1..right.transitions.len())
-            .find(|&i| Arc::ptr_eq(&right.transitions[i - 1].label, &right.transitions[i].label))
-            .expect("a lifted block longer than one transition");
-        let mut edited = right.clone();
-        let label = &mut edited.transitions[i].label;
-        *label = Arc::new(TransitionLabel { handler: "edited".into(), ..(**label).clone() });
-        assert!(!transitions_equal(&left.transitions, &edited.transitions));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Differential fuzzing of the model checker: random Kripke structures and random
 //! CTL formulas must produce identical satisfaction sets and verdicts from the
 //! production `ModelChecker` and the frozen pre-CSR `LegacyModelChecker`, the one
-//! independent checker oracle — including under incremental
-//! re-verification: random *edit sequences* where each step reuses the previous
-//! step's satisfaction-set snapshot, and app-level edit chains where each rebuilt
-//! union is checked against the seed union oracle. The same agreements are pinned on
-//! the corpus: the full P.1–P.30 sweep of the running examples and the MalIoT
-//! suite, and every edit variant of market G.3 re-verified incrementally.
+//! independent checker oracle — including along app-level edit chains, where each
+//! rebuilt union is checked against the seed union oracle and its property sweep
+//! against the legacy checker. The same agreements are pinned on the corpus: the
+//! full P.1–P.30 sweep of the running examples and the MalIoT suite, and every
+//! TP21/TP22 edit variant of market G.3.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -17,77 +16,38 @@ use soteria_corpus::{all_market_apps, maliot_groups, maliot_suite, market_groups
 use soteria_model::legacy::union_models_legacy;
 use soteria_model::{union_models, StateModel, UnionOptions};
 use soteria_properties::{applicable_properties, formula, AppUnderTest, DeviceContext};
-use std::sync::Arc;
 
 const ATOMS: [&str; 4] = ["p", "q", "r", "s"];
 
-/// The raw ingredients of a random Kripke structure, kept outside the structure
-/// so edit-sequence fuzzing can mutate them in place and rebuild.
-struct KripkeSpec {
-    successor_lists: Vec<Vec<usize>>,
-    labels: Vec<Vec<usize>>,
-    initial: Vec<usize>,
-}
-
-impl KripkeSpec {
-    /// `n` states, 0–3 successors each (deadlocks are allowed —
-    /// `Kripke::from_lists` totalises them), random labelling over four
-    /// atoms, and a random non-empty initial set.
-    fn random(n: usize, rng: &mut TestRng) -> Self {
-        let successor_lists: Vec<Vec<usize>> = (0..n)
-            .map(|_| {
-                let degree = (rng.next_u64() % 4) as usize;
-                (0..degree).map(|_| (rng.next_u64() as usize) % n).collect()
-            })
-            .collect();
-        let initial: Vec<usize> = {
-            let mut set: Vec<usize> =
-                (0..n).filter(|_| rng.next_u64().is_multiple_of(3)).collect();
-            if set.is_empty() {
-                set.push((rng.next_u64() as usize) % n);
-            }
-            set
-        };
-        let labels: Vec<Vec<usize>> = (0..n)
-            .map(|_| (0..ATOMS.len()).filter(|_| rng.next_u64().is_multiple_of(2)).collect())
-            .collect();
-        KripkeSpec { successor_lists, labels, initial }
-    }
-
-    fn build(&self) -> Kripke {
-        let n = self.successor_lists.len();
-        let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
-        let mut kripke = Kripke::from_lists(
-            ATOMS.iter().map(|a| a.to_string()).collect(),
-            names,
-            &self.successor_lists,
-            self.initial.clone(),
-        );
-        kripke.set_labels(&self.labels);
-        kripke
-    }
-
-    /// One random edit: relabel a few states, sometimes rewire a state's
-    /// successors, sometimes nothing at all (the identical-structure tier).
-    fn mutate(&mut self, rng: &mut TestRng) {
-        let n = self.successor_lists.len();
-        let relabels = (rng.next_u64() % 4) as usize;
-        for _ in 0..relabels {
-            let s = (rng.next_u64() as usize) % n;
-            self.labels[s] =
-                (0..ATOMS.len()).filter(|_| rng.next_u64().is_multiple_of(2)).collect();
-        }
-        if rng.next_u64().is_multiple_of(3) {
-            let s = (rng.next_u64() as usize) % n;
-            let degree = (rng.next_u64() % 4) as usize;
-            self.successor_lists[s] =
-                (0..degree).map(|_| (rng.next_u64() as usize) % n).collect();
-        }
-    }
-}
-
+/// A random structure: `n` states, 0–3 successors each (deadlocks are allowed —
+/// `Kripke::from_lists` totalises them), random labelling over four atoms, and a
+/// random non-empty initial set.
 fn random_kripke(n: usize, rng: &mut TestRng) -> Kripke {
-    KripkeSpec::random(n, rng).build()
+    let successor_lists: Vec<Vec<usize>> = (0..n)
+        .map(|_| {
+            let degree = (rng.next_u64() % 4) as usize;
+            (0..degree).map(|_| (rng.next_u64() as usize) % n).collect()
+        })
+        .collect();
+    let initial: Vec<usize> = {
+        let mut set: Vec<usize> = (0..n).filter(|_| rng.next_u64().is_multiple_of(3)).collect();
+        if set.is_empty() {
+            set.push((rng.next_u64() as usize) % n);
+        }
+        set
+    };
+    let labels: Vec<Vec<usize>> = (0..n)
+        .map(|_| (0..ATOMS.len()).filter(|_| rng.next_u64().is_multiple_of(2)).collect())
+        .collect();
+    let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
+    let mut kripke = Kripke::from_lists(
+        ATOMS.iter().map(|a| a.to_string()).collect(),
+        names,
+        &successor_lists,
+        initial,
+    );
+    kripke.set_labels(&labels);
+    kripke
 }
 
 /// Builds a random CTL formula of bounded depth covering every operator.
@@ -162,47 +122,6 @@ proptest! {
         }
     }
 
-    /// Incremental re-verification fuzz: a chain of random structure edits, each
-    /// step re-checked with sat-set reuse from the previous step's snapshot, must
-    /// match a fresh checker and the legacy oracle at every step. Edits
-    /// sometimes change nothing (the identical structure, where every set is
-    /// reused); a changed structure stays cold. Each step passes either every
-    /// atom or none as the dirty-prefix argument, which `reuse_from` ignores.
-    #[test]
-    fn snapshot_reuse_agrees_with_fresh_engines_across_edit_sequences(
-        (n, seed) in (2usize..96, 0usize..1_000_000)
-    ) {
-        let mut rng = TestRng::deterministic();
-        for _ in 0..(seed % 83) {
-            rng.next_u64();
-        }
-        let mut spec = KripkeSpec::random(n, &mut rng);
-        let formulas: Vec<Ctl> = (0..6).map(|_| random_formula(3, &mut rng)).collect();
-        let base = spec.build();
-        let cold = ModelChecker::new(&base);
-        let _ = cold.check_all(&formulas);
-        let mut snapshot = cold.snapshot();
-        for step in 0..4 {
-            spec.mutate(&mut rng);
-            let kripke = spec.build();
-            let dirty: Vec<String> = if rng.next_u64().is_multiple_of(2) {
-                ATOMS.iter().map(|a| a.to_string()).collect()
-            } else {
-                Vec::new()
-            };
-            let warm =
-                ModelChecker::new(&kripke).reuse_from(&snapshot, &dirty);
-            let reused = warm.check_all(&formulas);
-            let fresh =
-                ModelChecker::new(&kripke).check_all(&formulas);
-            prop_assert_eq!(&reused, &fresh, "reused vs fresh at step {}", step);
-            let legacy = LegacyModelChecker::new(&kripke);
-            for (f, r) in formulas.iter().zip(&reused) {
-                prop_assert_eq!(&legacy.check(f), r, "legacy verdict on {} at step {}", f, step);
-            }
-            snapshot = warm.snapshot();
-        }
-    }
 }
 
 /// A tiny app over fixed devices whose handler behaviour is one of four
@@ -235,9 +154,8 @@ proptest! {
 
     /// App-level edit-sequence fuzz: random chains of single-member edits over a
     /// three-app group. At every step the union must be byte-identical to the
-    /// seed oracle `union_models_legacy`, and the incremental environment
-    /// verdicts — seeded from the previous step's snapshot — must be
-    /// byte-identical to a from-scratch analysis.
+    /// seed oracle `union_models_legacy`, and the group's property sweep must
+    /// return identical `CheckResult`s from the checker and the legacy oracle.
     #[test]
     fn delta_unions_and_incremental_verdicts_survive_random_edit_chains(
         seed in 0usize..1_000_000
@@ -250,16 +168,13 @@ proptest! {
         let mut variants: Vec<u64> =
             (0..3).map(|_| rng.next_u64()).collect();
         let names = ["Member-A", "Member-B", "Member-C"];
-        let mut analyses: Vec<soteria::AppAnalysis> = names
+        let mut analyses: Vec<AppAnalysis> = names
             .iter()
             .zip(&variants)
             .map(|(name, v)| {
                 soteria.analyze_app(name, &member_source(name, *v)).expect("parses")
             })
             .collect();
-        let refs: Vec<&soteria::AppAnalysis> = analyses.iter().collect();
-        let (mut base, snapshot) = soteria.analyze_environment_with_snapshot("G", &refs);
-        let mut snapshot = snapshot.expect("checkable group exports a snapshot");
         for step in 0..3 {
             let idx = (rng.next_u64() as usize) % names.len();
             variants[idx] = rng.next_u64();
@@ -279,21 +194,13 @@ proptest! {
             );
             prop_assert_eq!(&scratch_union.attributes, &legacy_union.attributes);
 
-            // The full incremental re-analysis against a from-scratch one.
-            let refs: Vec<&soteria::AppAnalysis> = analyses.iter().collect();
-            let (incremental, next_snapshot) =
-                soteria.analyze_environment_incremental("G", &refs, &base, &snapshot, idx);
-            let scratch = soteria.analyze_environment_refs("G", &refs);
-            prop_assert_eq!(
-                &incremental.violations, &scratch.violations,
-                "incremental verdicts diverge at step {}", step
-            );
-            prop_assert_eq!(
-                &incremental.union_model.transitions,
-                &scratch.union_model.transitions
-            );
-            base = incremental;
-            snapshot = next_snapshot.expect("snapshot persists across edits");
+            // The group's property sweep: checker against the legacy oracle.
+            let refs: Vec<&AppAnalysis> = analyses.iter().collect();
+            let (kripke, formulas) = property_sweep("G", &refs);
+            prop_assert!(!formulas.is_empty(), "the group has checkable properties");
+            let results = ModelChecker::new(&kripke).check_all(&formulas);
+            let legacy = LegacyModelChecker::new(&kripke).check_all(&formulas);
+            prop_assert_eq!(&results, &legacy, "checker vs legacy at step {}", step);
         }
     }
 }
@@ -369,93 +276,38 @@ fn engines_agree_on_the_corpus_property_sweeps() {
     }
 }
 
-fn assert_environments_equal(
-    context: &str,
-    got: &soteria::EnvironmentAnalysis,
-    want: &soteria::EnvironmentAnalysis,
-) {
-    assert_eq!(got.violations, want.violations, "{context}: violations");
-    assert_eq!(got.app_names, want.app_names, "{context}: member order");
-    assert_eq!(
-        got.union_model.transitions, want.union_model.transitions,
-        "{context}: union transitions"
-    );
-    assert_eq!(
-        soteria::render_environment_report(got),
-        soteria::render_environment_report(want),
-        "{context}: rendered reports"
-    );
-}
-
-/// Incremental re-verification on the corpus' largest group, market G.3,
-/// through every edit variant the benchmark's update stream reaches. The
-/// snapshot-exporting cold pass equals the batch pass. A chain of
-/// single-member edits then visits all seven non-original TP21/TP22 toggle
-/// combinations, each pass seeded from the previous pass's base and snapshot
-/// as `serve-edit`'s updates are, and ends with a nonce-only resubmission.
-/// Every pass equals its from-scratch counterpart. A changed union gets a
-/// fresh structure; the nonce-only pass keeps the snapshot's. An unchanged
-/// resubmission against the cold base reproduces the batch result.
+/// The property sweep of market G.3 with every TP21/TP22 edit variant the
+/// benchmark's update stream reaches (the two TP21 variants times the four TP22
+/// ones, the shipped sources included): the checker and the legacy oracle return
+/// identical `CheckResult`s on every formula.
 #[test]
 fn g3_incremental_reverification_matches_scratch() {
-    /// `(member, variant)` steps from the originals, one member per step:
-    /// TP21#1,TP22#0 -> 1,1 -> 0,1 -> 0,2 -> 1,2 -> 1,3 -> 0,3.
-    const CHAIN: &[(&str, u32)] = &[
-        ("TP21", 1),
-        ("TP22", 1),
-        ("TP21", 0),
-        ("TP22", 2),
-        ("TP21", 1),
-        ("TP22", 3),
-        ("TP21", 0),
-    ];
     let soteria = Soteria::new();
     let market = all_market_apps();
     let g3 = market_groups().into_iter().find(|g| g.id == "G.3").expect("G.3");
     let source_of = |id: &str| &market.iter().find(|a| a.id == id).expect("member").source;
-    let analyses: Vec<AppAnalysis> = g3
+    let mut members: Vec<AppAnalysis> = g3
         .members
         .iter()
         .map(|id| soteria.analyze_app(id, source_of(id)).expect("member parses"))
         .collect();
-    let refs: Vec<&AppAnalysis> = analyses.iter().collect();
-    let batch = soteria.analyze_environment_refs("G.3", &refs);
-    let (cold, snapshot) = soteria.analyze_environment_with_snapshot("G.3", &refs);
-    assert_environments_equal("cold snapshot pass", &cold, &batch);
-    let snapshot = snapshot.expect("G.3 has checkable properties");
-
-    let mut current = analyses.clone();
-    let (mut base, mut base_snapshot) = (cold.clone(), snapshot.clone());
-    let steps = CHAIN.iter().map(|&(member, mask)| (member, mask, false));
-    let nonce_only = std::iter::once(("TP21", 0, true));
-    for (step, (member, mask, nonce)) in steps.chain(nonce_only).enumerate() {
-        let idx = g3.members.iter().position(|m| *m == member).expect("member in G.3");
-        let mut source = g3_variant_source(member, source_of(member), mask);
-        if nonce {
-            source.push_str("// edit nonce 1\n");
+    let index_of = |member: &str| g3.members.iter().position(|m| *m == member).expect("member");
+    let variant = |member: &str, mask: u32| {
+        let source = g3_variant_source(member, source_of(member), mask);
+        soteria.analyze_app(member, &source).expect("edit parses")
+    };
+    for tp21 in 0..2 {
+        members[index_of("TP21")] = variant("TP21", tp21);
+        for tp22 in 0..4 {
+            members[index_of("TP22")] = variant("TP22", tp22);
+            let refs: Vec<&AppAnalysis> = members.iter().collect();
+            let (kripke, formulas) = property_sweep("G.3", &refs);
+            assert!(!formulas.is_empty(), "G.3 has checkable properties");
+            let results = ModelChecker::new(&kripke).check_all(&formulas);
+            let legacy = LegacyModelChecker::new(&kripke).check_all(&formulas);
+            for (i, f) in formulas.iter().enumerate() {
+                assert_eq!(results[i], legacy[i], "TP21#{tp21}, TP22#{tp22}: {f}");
+            }
         }
-        current[idx] = soteria.analyze_app(member, &source).expect("edit parses");
-        let edited_refs: Vec<&AppAnalysis> = current.iter().collect();
-        let context = format!("step {step}: {member}#{mask}{}", if nonce { " nonce" } else { "" });
-        let scratch = soteria.analyze_environment_refs("G.3", &edited_refs);
-        let (incremental, next) = soteria.analyze_environment_incremental(
-            "G.3",
-            &edited_refs,
-            &base,
-            &base_snapshot,
-            idx,
-        );
-        assert_environments_equal(&context, &incremental, &scratch);
-        let next = next.expect("the incremental pass re-exports a snapshot");
-        assert_eq!(
-            Arc::ptr_eq(next.kripke(), base_snapshot.kripke()),
-            nonce,
-            "{context}: only an unchanged union keeps the snapshot's structure"
-        );
-        (base, base_snapshot) = (incremental, next);
     }
-
-    let idx = g3.members.iter().position(|m| *m == "TP21").expect("TP21 in G.3");
-    let (noop, _) = soteria.analyze_environment_incremental("G.3", &refs, &cold, &snapshot, idx);
-    assert_environments_equal("unchanged resubmission", &noop, &batch);
 }

@@ -3,7 +3,7 @@
 //! `Kripke::from_state_model` must build a structure struct-equal to
 //! `soteria_checker::kripke::reference::from_state_model` in every field: atom
 //! order, state numbering, incoming labels, both CSRs and the naming tables.
-//! `SatSnapshot` reuse and the golden verdicts rely on that. It is checked on
+//! Counterexample traces and the golden verdicts rely on that. It is checked on
 //! every model the corpus pipeline checks, and on random hand-built models that
 //! exercise the label classes: equal labels in distinct allocations, one event
 //! under two apps, duplicate transitions, deadlocked states and unsorted sources.

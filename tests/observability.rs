@@ -235,12 +235,10 @@ fn cancellation_timeout_and_drain_leave_closed_well_formed_spans() {
     assert_eq!(ingest_stages, 2, "expected ingest stages for wedged+after only");
 }
 
-/// The incremental routing is visible in traces. A cold `env` job records
-/// `kripke.build`. Every `update` rebuilds the union from scratch (one
-/// `union.build` in the re-verified group's trace, no `union.delta`). One whose
-/// edit changes the member's model records `kripke.build` and `check.cold`. A
-/// nonce-only `update` leaves the union as it was, so the group's trace
-/// records `check.reuse` but no `kripke.build`.
+/// An environment analysis takes one path, and traces show it. A cold `env`
+/// job and every `update` record, in the group's trace (the one trace holding
+/// a `union.build` span), one `union.build`, a `kripke.build` and exactly one
+/// `check.batch`, whether or not the edit changed the member's model.
 #[test]
 fn env_then_update_traces_the_incremental_routing() {
     let _lock = obs_lock();
@@ -251,44 +249,43 @@ fn env_then_update_traces_the_incremental_routing() {
         let source = soteria_corpus::find_app(id).expect("corpus app").1;
         service.submit_app(id, &source).expect("admitted").wait().expect("analyzes");
     }
+    service.quiesce();
+    soteria_obs::drain_spans();
+
+    // The labels in the group's trace, checked for the one environment path.
+    let group_trace = |context: &str| {
+        service.quiesce();
+        let spans = soteria_obs::drain_spans();
+        assert_well_formed(context, &spans);
+        let groups: Vec<u64> =
+            spans.iter().filter(|s| s.label == "union.build").map(|s| s.trace).collect();
+        assert_eq!(groups.len(), 1, "{context}: one union.build span");
+        assert_ne!(groups[0], 0, "{context}: union.build outside any trace");
+        let labels: Vec<&str> =
+            spans.iter().filter(|s| s.trace == groups[0]).map(|s| s.label).collect();
+        assert!(labels.contains(&"kripke.build"), "{context}: no kripke.build");
+        let checks = labels.iter().filter(|&&l| l == "check.batch").count();
+        assert_eq!(checks, 1, "{context}: one check.batch span");
+    };
     service
         .submit_environment_by_names("RunningGroup", &members)
         .expect("admitted")
         .wait()
         .expect("group analyzes");
-    service.quiesce();
-    let spans = soteria_obs::drain_spans();
-    assert!(spans.iter().any(|s| s.label == "kripke.build"), "env job recorded no kripke.build");
+    group_trace("env");
 
-    // Runs one update and returns the labels in the re-verified group's trace,
-    // the one trace holding a `union.build` span.
-    let update = |source: &str| -> Vec<&'static str> {
+    let update = |source: &str, context: &str| {
         let (app, envs) = service.resubmit("WaterLeakDetector", source).expect("resubmitted");
         app.wait().expect("edited member analyzes");
         assert_eq!(envs.len(), 1, "one resident group contains the member");
         envs[0].wait().expect("group re-verifies");
-        service.quiesce();
-        let spans = soteria_obs::drain_spans();
-        assert_well_formed("update", &spans);
-        assert!(!spans.iter().any(|s| s.label == "union.delta"), "update recorded a union.delta");
-        let groups: Vec<u64> =
-            spans.iter().filter(|s| s.label == "union.build").map(|s| s.trace).collect();
-        assert_eq!(groups.len(), 1, "update recorded one union.build span");
-        assert_ne!(groups[0], 0, "union.build outside any trace");
-        spans.iter().filter(|s| s.trace == groups[0]).map(|s| s.label).collect()
+        group_trace(context);
     };
     let source = soteria_corpus::find_app("WaterLeakDetector").expect("corpus app").1;
     let edited = source.replace("valve_device.close()", "valve_device.open()");
     assert_ne!(edited, source, "the edit changes the member");
-    let changed = update(&edited);
-    for label in ["kripke.build", "check.cold"] {
-        assert!(changed.contains(&label), "a model-changing update recorded no {label}");
-    }
-    assert!(!changed.contains(&"check.reuse"), "a changed union reused sat sets");
-    let nonce_only = update(&format!("{edited}// edit nonce 1\n"));
-    assert!(nonce_only.contains(&"check.reuse"), "a nonce-only update recorded no check.reuse");
-    assert!(!nonce_only.contains(&"kripke.build"), "a nonce-only update rebuilt the structure");
-    assert!(service.stats().env_incremental >= 2, "update skipped the incremental path");
+    update(&edited, "model-changing update");
+    update(&format!("{edited}// edit nonce 1\n"), "nonce-only update");
 }
 
 /// With the fake clock, a histogram snapshot is an exact, reproducible value:

@@ -3,9 +3,9 @@
 //! rendered reports — must be identical whether the analyzer runs sequentially
 //! or fans out across worker threads.
 //!
-//! Every parallel site (`Soteria::analyze_apps`, `Soteria::analyze_environments`,
-//! and the sharded property sweeps) must reproduce
-//! the sequential output byte for byte — same `Violation` lists in the same
+//! Every parallel site (`Soteria::analyze_apps` and
+//! `Soteria::analyze_environments`) must reproduce the sequential output byte
+//! for byte — same `Violation` lists in the same
 //! order, same union transitions, same report text (timing lines excluded,
 //! since wall-clock is measured rather than computed). The MalIoT sweep is
 //! compared at 2, 4 and 8 threads, the market sweep at 4.
@@ -21,7 +21,7 @@ use soteria_bench::{
     sweep_outcome,
 };
 use soteria_corpus::{all_market_apps, maliot_suite, CorpusApp};
-use soteria_exec::{par_map, scoped_map};
+use soteria_exec::{pool_map, scoped_map};
 use soteria_service::{JobError, Service, ServiceError, ServiceOptions};
 use std::time::{Duration, Instant};
 
@@ -328,13 +328,13 @@ fn market_sweep_is_identical_sequentially_and_at_four_threads() {
     assert_sweeps_identical("market", &all_market_apps(), &market_group_specs(), &[4]);
 }
 
-/// `par_map` panics surface with their original payload even when raised from a
-/// worker in the middle of a corpus-shaped fan-out.
+/// `pool_map` panics surface with their original payload even when raised from a
+/// worker of the shared pool in the middle of a corpus-shaped fan-out.
 #[test]
-fn par_map_propagates_worker_panics_with_payload() {
+fn pool_map_propagates_worker_panics_with_payload() {
     let items: Vec<usize> = (0..64).collect();
     let caught = std::panic::catch_unwind(|| {
-        par_map(&items, 4, |&i| {
+        pool_map(&items, 4, |&i| {
             if i == 33 {
                 panic!("app {i} exploded");
             }

@@ -412,6 +412,64 @@ fn evicted_members_stay_resolvable_through_the_disk_tier() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `update` re-verifies a group whose last run was restored from the store,
+/// not only one computed in this process: after a warm restart, resubmitting
+/// the group restores it from disk, and a later `update` of a member still
+/// re-verifies it, equal to the direct API on the edited members.
+#[test]
+fn update_after_a_warm_restart_reverifies_restored_groups() {
+    let dir = test_dir("update-after-restart");
+    let follower = |body: &str| {
+        WATER_LEAK
+            .replace("Water-Leak-Detector", "Leak-Follower")
+            .replace("valve_device.close()", body)
+    };
+    let (opened, closed) = (follower("valve_device.open()"), follower("valve_device.close()"));
+    let update = |service: &Service, source: &str| {
+        let (app, envs) = service.resubmit("b", source).expect("admitted");
+        app.wait().expect("edited member parses");
+        let reverified = envs.iter().map(|env| {
+            (env.name().to_string(), env.wait().expect("re-verifies"))
+        });
+        reverified.collect::<Vec<_>>()
+    };
+    let before = {
+        let service = service_over(&dir);
+        submit(&service, "a", WATER_LEAK);
+        submit(&service, "b", &closed);
+        submit_env(&service, "G", &["a", "b"]).wait().expect("members parse");
+        let updated = update(&service, &opened);
+        assert_eq!(updated.len(), 1, "update before the restart skipped G");
+        updated[0].1.clone()
+    }; // service dropped: the restart below has only the disk to go on
+
+    let service = service_over(&dir);
+    submit(&service, "a", WATER_LEAK);
+    submit(&service, "b", &opened);
+    let restored = submit_env(&service, "G", &["a", "b"]).wait().expect("members parse");
+    assert_eq!(
+        soteria::environment_json(&restored).render(),
+        soteria::environment_json(&before).render(),
+        "the resubmitted group was not restored from the store"
+    );
+    let edited = format!("{closed}// edited after the restart\n");
+    let updated = update(&service, &edited);
+    assert_eq!(updated.len(), 1, "update after the restart skipped the restored group");
+    let (name, env) = &updated[0];
+    assert_eq!(name, "G");
+    let soteria = service.soteria();
+    let direct_a = soteria.analyze_app("a", WATER_LEAK).expect("parses");
+    let direct_b = soteria.analyze_app("b", &edited).expect("parses");
+    let direct = soteria.analyze_environment("G", &[direct_a, direct_b]);
+    assert_eq!(env.violations, direct.violations);
+    assert_eq!(
+        strip_timings(&soteria::environment_json(env)),
+        strip_timings(&soteria::environment_json(&direct))
+    );
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Injected write faults (I/O error, ENOSPC) never surface as wrong answers
 /// or a dead service: results still compute, the breaker degrades the store
 /// to memory-only with an `io` fault record, and a later probe re-enables it.
