@@ -1,6 +1,9 @@
 //! Regenerates Table 4 (multi-app analysis): the interacting app groups G.1–G.3 are
 //! analysed as environments and the violations of their combined behaviour listed.
+//! Next to each union's size it prints the size of the Kripke fragment the
+//! default initial state reaches, which is what the properties are checked on.
 
+use soteria::checker::Kripke;
 use soteria::Soteria;
 use soteria_corpus::{all_market_apps, market_groups};
 
@@ -25,12 +28,15 @@ fn main() {
         }
         properties.sort();
         properties.dedup();
+        let checked = Kripke::reachable_from_state_model(&env.union_model);
         println!(
-            "{:<5} members: {:<45} union: {:>5} states {:>6} transitions",
+            "{:<5} members: {:<45} union: {:>5} states {:>6} transitions  \
+             checked: {:>3} Kripke states",
             group.id,
             group.members.join(", "),
             env.union_model.state_count(),
-            env.union_model.transition_count()
+            env.union_model.transition_count(),
+            checked.state_count()
         );
         println!("      violated: {:<30} (paper: {})", properties.join(", "), group.expected.join(", "));
         for violation in &env.violations {

@@ -29,14 +29,20 @@
 //! per transition: [`Kripke::from_state_model`] resolves each transition's
 //! `(event label, app)` to a small *label class* id once per label allocation,
 //! keys event states on a packed `(destination, class)` integer, writes the
-//! label rows directly, and emits both CSRs from counting-sorted per-model-state
-//! target groups. It is struct-equal to the reference builder in [`reference`],
-//! which only tests call. It is also the only production builder: a group
-//! re-verified after an edit builds from scratch too, because that is faster
-//! than splicing the edit into the previous structure.
+//! label rows directly, and emits both CSRs from per-model-state target groups
+//! read off a counting-sorted [`SourceIndex`]. It is struct-equal to the reference builder in [`reference`],
+//! which only tests call.
+//!
+//! Production checks build only what the default initial state reaches:
+//! [`Kripke::reachable_from_state_model`] runs a breadth-first search from the
+//! quiescent state of `model.initial` over a source index of the transitions
+//! and numbers the fragment in the full structure's order, so every verdict
+//! and counterexample equals the full structure's. Market G.3, for example,
+//! reaches 78 of its 46,944 Kripke states. [`Kripke::from_state_model`] is the
+//! full-structure oracle the fragment is tested against.
 
 use crate::bitset::BitSet;
-use soteria_model::{StateId, StateModel, TransitionLabel};
+use soteria_model::{SourceIndex, StateId, StateModel, TransitionLabel};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -193,7 +199,6 @@ impl Kripke {
         let mut kripke = Kripke {
             atoms,
             initial,
-            model_state: (0..n).collect(),
             incoming_event: vec![None; n],
             incoming_app: vec![None; n],
             name_override: names,
@@ -208,7 +213,9 @@ impl Kripke {
             group_offsets.push(grouped.len() as u32);
         }
         sort_dedup_groups(&mut group_offsets, &mut grouped);
-        kripke.set_transitions_grouped(&group_offsets, &grouped);
+        let identity: Vec<usize> = (0..n).collect();
+        kripke.set_transitions_grouped(&identity, &group_offsets, &grouped);
+        kripke.model_state = identity;
         kripke
     }
 
@@ -223,13 +230,14 @@ impl Kripke {
     /// Nothing here is per-transition string work. Each transition's
     /// `(event label, app)` resolves to a label class once per label allocation
     /// (union models share one `Arc<TransitionLabel>` per lifted block, so market
-    /// G.3's ~154k transitions carry under 200 allocations). A class interns its
-    /// `event:`/`triggered`/`by-app:` atoms when it first appears, which is when
-    /// it creates its first event state, so atoms keep first-occurrence order.
-    /// Event states are keyed on a packed `(destination, class)` `u64`, label
-    /// rows are written directly, and the successor lists are counting-sorted
-    /// into per-model-state groups, each sorted and deduplicated on its own,
-    /// before [`Kripke::set_transitions_grouped`] emits both CSRs.
+    /// G.3's ~154k transitions carry under 200 allocations). Each class
+    /// creates its first event state when it first appears, so interning the
+    /// classes' `event:`/`triggered`/`by-app:` atoms in class order keeps atoms
+    /// in first-occurrence order. Event states are keyed on a packed
+    /// `(destination, class)` `u64`, label rows are written directly, and the
+    /// successor lists are grouped per model state through a [`SourceIndex`],
+    /// each group sorted and deduplicated on its own, before
+    /// [`Kripke::set_transitions_grouped`] emits both CSRs.
     pub fn from_state_model(model: &StateModel) -> Kripke {
         let _span = soteria_obs::span("kripke.build");
         let schema = &model.schema;
@@ -242,25 +250,29 @@ impl Kripke {
         // Event states in creation order, as (destination, class), plus each
         // transition's Kripke target.
         let mut classes = LabelClasses::default();
-        let mut event_state: HashMap<u64, u32, BuildHasherDefault<PackedKeyHasher>> =
-            HashMap::default();
+        let mut event_state: EventStates = HashMap::default();
         let mut event_keys: Vec<(StateId, u32)> = Vec::new();
         let mut targets: Vec<u32> = Vec::with_capacity(model.transitions.len());
         for t in &model.transitions {
-            let class = classes.resolve(&t.label, &mut kripke.atoms, &mut atom_lookup);
-            let key = ((t.to as u64) << 32) | class as u64;
+            let class = classes.resolve(&t.label);
             let next = (q + event_keys.len()) as u32;
-            let id = *event_state.entry(key).or_insert_with(|| {
+            let id = *event_state.entry(event_key(t.to, class)).or_insert_with(|| {
                 event_keys.push((t.to, class));
                 next
             });
             targets.push(id);
         }
         let n = q + event_keys.len();
+        // Every class created its first event state when it appeared, so
+        // interning in class order keeps atoms in first-occurrence order.
+        let class_atoms: Vec<[usize; 3]> = (0..classes.classes.len())
+            .map(|c| classes.classes[c].intern_atoms(&mut kripke.atoms, &mut atom_lookup))
+            .collect();
 
         // Quiescent states first, one per model state, all initial; then the
         // event states, sharing their class's label strings.
-        kripke.model_state = (0..q).chain(event_keys.iter().map(|&(to, _)| to)).collect();
+        let model_state: Vec<StateId> =
+            (0..q).chain(event_keys.iter().map(|&(to, _)| to)).collect();
         kripke.initial = (0..q).collect();
         kripke.incoming_event = vec![None; q];
         kripke.incoming_event.extend(
@@ -282,36 +294,153 @@ impl Kripke {
             schema.advance(row);
         }
         let mut rows = vec![BitSet::empty(n); kripke.atoms.len()];
-        for (s, &ms) in kripke.model_state.iter().enumerate() {
+        for (s, &ms) in model_state.iter().enumerate() {
             let digits = &digit_table[ms * attrs..(ms + 1) * attrs];
             for (atoms, &d) in attr_atoms.iter().zip(digits) {
                 rows[atoms[d as usize]].insert(s);
             }
         }
         for (s, &(_, class)) in (q..).zip(&event_keys) {
-            for &atom in &classes.classes[class as usize].atoms {
+            for &atom in &class_atoms[class as usize] {
                 rows[atom].insert(s);
             }
         }
         kripke.atom_rows = rows;
         kripke.atom_lookup = atom_lookup;
 
-        // Per-model-state target groups by counting sort on the source column.
-        let mut group_offsets = vec![0u32; q + 1];
-        for t in &model.transitions {
-            group_offsets[t.from + 1] += 1;
-        }
+        // Per-model-state target groups, read off the source index.
+        let index = SourceIndex::new(model);
+        let mut group_offsets: Vec<u32> = Vec::with_capacity(q + 1);
+        group_offsets.push(0);
+        let mut grouped: Vec<u32> = Vec::with_capacity(targets.len());
         for ms in 0..q {
-            group_offsets[ms + 1] += group_offsets[ms];
-        }
-        let mut cursor: Vec<u32> = group_offsets[..q].to_vec();
-        let mut grouped = vec![0u32; targets.len()];
-        for (t, &target) in model.transitions.iter().zip(&targets) {
-            grouped[cursor[t.from] as usize] = target;
-            cursor[t.from] += 1;
+            grouped.extend(index.outgoing(ms).iter().map(|&t| targets[t as usize]));
+            group_offsets.push(grouped.len() as u32);
         }
         sort_dedup_groups(&mut group_offsets, &mut grouped);
-        kripke.set_transitions_grouped(&group_offsets, &grouped);
+        kripke.set_transitions_grouped(&model_state, &group_offsets, &grouped);
+        kripke.model_state = model_state;
+        kripke
+    }
+
+    /// Builds the part of [`Kripke::from_state_model`]'s structure that the
+    /// quiescent state of `model.initial` reaches, with that state as the only
+    /// initial state. This is the fragment of `default_initial_kripke` (the
+    /// soteria crate's full-structure oracle) that its initial state reaches.
+    /// A CTL formula's value at a state depends only on the states it reaches,
+    /// so every check on the fragment gives the full structure's verdict.
+    ///
+    /// The fragment keeps the full structure's relative state order: the
+    /// initial quiescent state first, then the reachable event states by the
+    /// index of their first occurrence in the **whole** transition list, even
+    /// when that occurrence leaves an unreachable state. Successor lists stay
+    /// in the same relative order, so the checker's breadth-first tie-breaks,
+    /// and with them its counterexample traces, are the full structure's.
+    ///
+    /// Work beyond the one source index and one scan of the transition list
+    /// is proportional to the fragment: a breadth-first search collects the
+    /// `(destination, label class)` pairs of the transitions that leave a
+    /// reachable model state, and only their states are labelled and emitted.
+    /// Atoms are the schema's plus the classes of the fragment's event states,
+    /// interned in fragment order; an atom that labels only unreachable states
+    /// is absent, which the checker reads as false everywhere, as it is on the
+    /// fragment of the full structure.
+    pub fn reachable_from_state_model(model: &StateModel) -> Kripke {
+        let _span = soteria_obs::span("kripke.build");
+        let q = model.state_count();
+        debug_assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
+        let index = SourceIndex::new(model);
+        let reached = index.reachable_mask(model, model.initial);
+        let mut kripke = Kripke::default();
+        let mut atom_lookup: HashMap<String, usize> = HashMap::new();
+        let attr_atoms = install_schema_atoms(&mut kripke, model, &mut atom_lookup);
+
+        // One target group per reachable model state, holding event-state slots
+        // (indices into `event_keys`, in discovery order) until they are ranked.
+        let mut classes = LabelClasses::default();
+        let mut event_slot: EventStates = HashMap::default();
+        let mut event_keys: Vec<(StateId, u32)> = Vec::new();
+        let mut group_of: HashMap<StateId, usize> = HashMap::new();
+        let mut group_offsets: Vec<u32> = vec![0];
+        let mut grouped: Vec<u32> = Vec::new();
+        for ms in (0..q).filter(|&ms| reached[ms]) {
+            group_of.insert(ms, group_offsets.len() - 1);
+            for &t in index.outgoing(ms) {
+                let t = &model.transitions[t as usize];
+                let class = classes.resolve(&t.label);
+                let next = event_keys.len() as u32;
+                let slot = *event_slot.entry(event_key(t.to, class)).or_insert_with(|| {
+                    event_keys.push((t.to, class));
+                    next
+                });
+                grouped.push(slot);
+            }
+            group_offsets.push(grouped.len() as u32);
+        }
+
+        // Rank the event states by first occurrence in the whole list: state
+        // 0 is the initial quiescent state, event states follow from 1.
+        let mut first = vec![usize::MAX; event_keys.len()];
+        let mut unranked = event_keys.len();
+        for (i, t) in model.transitions.iter().enumerate() {
+            if unranked == 0 {
+                break;
+            }
+            if !reached[t.to] {
+                continue;
+            }
+            let class = classes.resolve(&t.label);
+            if let Some(&slot) = event_slot.get(&event_key(t.to, class)) {
+                if first[slot as usize] == usize::MAX {
+                    first[slot as usize] = i;
+                    unranked -= 1;
+                }
+            }
+        }
+        let mut by_rank: Vec<u32> = (0..event_keys.len() as u32).collect();
+        by_rank.sort_unstable_by_key(|&slot| first[slot as usize]);
+        let mut rank = vec![0u32; event_keys.len()];
+        for (r, &slot) in (1..).zip(&by_rank) {
+            rank[slot as usize] = r;
+        }
+        for target in &mut grouped {
+            *target = rank[*target as usize];
+        }
+        sort_dedup_groups(&mut group_offsets, &mut grouped);
+
+        let n = 1 + event_keys.len();
+        let model_state: Vec<StateId> = std::iter::once(model.initial)
+            .chain(by_rank.iter().map(|&slot| event_keys[slot as usize].0))
+            .collect();
+        let mut class_atoms: Vec<Option<[usize; 3]>> = vec![None; classes.classes.len()];
+        let mut rows = vec![BitSet::empty(n); kripke.atoms.len()];
+        kripke.incoming_event = vec![None];
+        kripke.incoming_app = vec![None];
+        for (s, &slot) in (1..).zip(&by_rank) {
+            let class = &classes.classes[event_keys[slot as usize].1 as usize];
+            let atoms = *class_atoms[event_keys[slot as usize].1 as usize]
+                .get_or_insert_with(|| class.intern_atoms(&mut kripke.atoms, &mut atom_lookup));
+            rows.resize(kripke.atoms.len(), BitSet::empty(n));
+            for atom in atoms {
+                rows[atom].insert(s);
+            }
+            kripke.incoming_event.push(Some(class.event.clone()));
+            kripke.incoming_app.push(Some(class.app.clone()));
+        }
+        let mut digits = vec![0u8; model.schema.attr_count()];
+        for (s, &ms) in model_state.iter().enumerate() {
+            model.schema.digits_of(ms, &mut digits);
+            for (atoms, &d) in attr_atoms.iter().zip(&digits) {
+                rows[atoms[d as usize]].insert(s);
+            }
+        }
+        kripke.atom_rows = rows;
+        kripke.atom_lookup = atom_lookup;
+        kripke.initial = vec![0];
+
+        let state_group: Vec<usize> = model_state.iter().map(|ms| group_of[ms]).collect();
+        kripke.set_transitions_grouped(&state_group, &group_offsets, &grouped);
+        kripke.model_state = model_state;
         kripke
     }
 
@@ -328,31 +457,34 @@ impl Kripke {
         None
     }
 
-    /// Installs the transition relation from a flat per-model-state CSR of
-    /// target lists (`grouped[group_offsets[ms]..group_offsets[ms + 1]]` is
-    /// model state `ms`'s sorted, deduplicated target list); every Kripke state
-    /// over `ms` gets that list as its successors. This is the one CSR emitter:
-    /// iterating sources in ascending order with ascending targets per source
-    /// *is* the globally sorted edge order, so no edge-list sort is needed, and
-    /// the arrays match the reference builder's sort-based emitter. A state
-    /// whose group is empty gets a totalising self-loop.
-    fn set_transitions_grouped(&mut self, group_offsets: &[u32], grouped: &[u32]) {
-        let n = self.state_count();
+    /// Installs the transition relation from a flat CSR of target lists
+    /// (`grouped[group_offsets[g]..group_offsets[g + 1]]` is group `g`'s sorted,
+    /// deduplicated target list); Kripke state `s` gets group `state_group[s]`
+    /// as its successors, and there are `state_group.len()` states. This is
+    /// the one CSR emitter: iterating sources in ascending order with ascending
+    /// targets per source *is* the globally sorted edge order, so no edge-list
+    /// sort is needed, and the arrays match the reference builder's sort-based
+    /// emitter. A state whose group is empty gets a totalising self-loop.
+    fn set_transitions_grouped(
+        &mut self,
+        state_group: &[usize],
+        group_offsets: &[u32],
+        grouped: &[u32],
+    ) {
+        let n = state_group.len();
         debug_assert!(n <= u32::MAX as usize, "state universe exceeds u32 indexing");
         self.succ_offsets = Vec::with_capacity(n + 1);
         self.succ_offsets.push(0);
         let mut acc = 0u32;
         let mut total = 0usize;
-        for s in 0..n {
-            let ms = self.model_state[s];
+        for &ms in state_group {
             let degree = ((group_offsets[ms + 1] - group_offsets[ms]) as usize).max(1);
             acc += degree as u32;
             total += degree;
             self.succ_offsets.push(acc);
         }
         let mut succ_targets: Vec<u32> = Vec::with_capacity(total);
-        for s in 0..n {
-            let ms = self.model_state[s];
+        for (s, &ms) in state_group.iter().enumerate() {
             let (lo, hi) = (group_offsets[ms] as usize, group_offsets[ms + 1] as usize);
             if lo == hi {
                 succ_targets.push(s as u32);
@@ -429,8 +561,23 @@ struct LabelClass {
     event: Arc<str>,
     /// The contributing app, shared by the class's event states.
     app: Arc<str>,
-    /// The `event:`, `triggered` and `by-app:` atoms of the class's event states.
-    atoms: [usize; 3],
+}
+
+impl LabelClass {
+    /// Interns the `event:`, `triggered` and `by-app:` atoms of the class's
+    /// event states, in that order (the order the reference builder interns
+    /// them in when the class's first event state appears).
+    fn intern_atoms(
+        &self,
+        atoms: &mut Vec<String>,
+        lookup: &mut HashMap<String, usize>,
+    ) -> [usize; 3] {
+        [
+            intern_atom(atoms, lookup, format!("event:{}", self.event)),
+            intern_atom(atoms, lookup, "triggered".to_string()),
+            intern_atom(atoms, lookup, format!("by-app:{}", self.app)),
+        ]
+    }
 }
 
 /// The label classes of one model, numbered in order of first occurrence.
@@ -450,15 +597,10 @@ struct LabelClasses {
 }
 
 impl LabelClasses {
-    /// The class of `label`. A new class interns its atoms (`event:`, then
-    /// `triggered`, then `by-app:`), which is the order the reference builder
-    /// interns them in when the class's first event state appears.
-    fn resolve(
-        &mut self,
-        label: &Arc<TransitionLabel>,
-        atoms: &mut Vec<String>,
-        lookup: &mut HashMap<String, usize>,
-    ) -> u32 {
+    /// The class of `label`, created on first sight. Creating a class interns
+    /// no atoms: builders intern a class's atoms ([`LabelClass::intern_atoms`])
+    /// when it labels its first emitted state.
+    fn resolve(&mut self, label: &Arc<TransitionLabel>) -> u32 {
         let ptr = Arc::as_ptr(label);
         if let Some((last, class)) = self.last {
             if last == ptr {
@@ -477,11 +619,6 @@ impl LabelClasses {
                         self.classes.push(LabelClass {
                             event: Arc::from(event.as_str()),
                             app: Arc::from(app.as_str()),
-                            atoms: [
-                                intern_atom(atoms, lookup, format!("event:{event}")),
-                                intern_atom(atoms, lookup, "triggered".to_string()),
-                                intern_atom(atoms, lookup, format!("by-app:{app}")),
-                            ],
                         });
                         *e.insert(next)
                     }
@@ -493,6 +630,14 @@ impl LabelClasses {
         self.last = Some((ptr, class));
         class
     }
+}
+
+/// Event-state ids (or slots) by packed `(destination, class)` key.
+type EventStates = HashMap<u64, u32, BuildHasherDefault<PackedKeyHasher>>;
+
+/// The packed key of the event state `(destination, class)`.
+fn event_key(to: StateId, class: u32) -> u64 {
+    ((to as u64) << 32) | class as u64
 }
 
 /// Hasher for the packed `(destination, class)` event-state keys: one
@@ -557,6 +702,7 @@ fn install_schema_atoms(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Ctl, ModelChecker};
     use soteria_analysis::PathCondition;
     use soteria_capability::{AttributeValue, Event, EventKind};
     use soteria_model::{Transition, TransitionLabel};
@@ -697,6 +843,75 @@ mod tests {
         assert_eq!(kripke.successors(1), &[1]);
         assert_eq!(kripke.predecessors(1), &[0, 1]);
         assert!(kripke.holds(0, "p"));
+    }
+
+    /// Four model states over one attribute, initial state 0. Transition 0
+    /// leaves unreachable state 3 but is the first occurrence of the reachable
+    /// event state `(2, touch@B)`, ahead of `(1, wet@A)`, which the search
+    /// finds first. State 2 is a reachable deadlock; `by-app:C` labels only an
+    /// unreachable event state.
+    fn fragment_model() -> StateModel {
+        let mut attrs = BTreeMap::new();
+        attrs.insert(
+            ("lamp".to_string(), "level".to_string()),
+            (0..4).map(|v| AttributeValue::symbol(format!("l{v}"))).collect(),
+        );
+        let mut model = StateModel::with_attributes("Fragment", attrs);
+        let label = |kind: EventKind, app: &str| {
+            std::sync::Arc::new(TransitionLabel {
+                event: Event::new("dev", kind),
+                condition: PathCondition::top(),
+                app: app.into(),
+                handler: "h".into(),
+                via_reflection: false,
+            })
+        };
+        let wet = label(EventKind::device("waterSensor", "water", Some("wet")), "A");
+        let touch = label(EventKind::AppTouch, "B");
+        let stray = label(EventKind::AppTouch, "C");
+        for (from, to, l) in [(3, 2, &touch), (0, 1, &wet), (1, 2, &touch), (3, 3, &stray)] {
+            model.transitions.push(Transition { from, to, label: l.clone() });
+        }
+        model
+    }
+
+    #[test]
+    fn fragment_keeps_the_full_order_and_counterexamples() {
+        let model = fragment_model();
+        let fragment = Kripke::reachable_from_state_model(&model);
+        // Full numbering: quiescent 0..4, then (2, touch@B) = 4, (1, wet@A) = 5.
+        assert_eq!(fragment.model_state, vec![0, 2, 1]);
+        assert_eq!(fragment.initial, vec![0]);
+        assert_eq!(fragment.incoming_event[1].as_deref(), Some("app.touch"));
+        assert_eq!(fragment.incoming_event[2].as_deref(), Some("water.wet"));
+        assert_eq!(fragment.successors(0), &[2]);
+        assert_eq!(fragment.successors(2), &[1]);
+        // The deadlock keeps its totalising self-loop.
+        assert_eq!(fragment.successors(1), &[1]);
+        assert_eq!(fragment.predecessors(1), &[1, 2]);
+        assert_eq!(fragment.atom_index("by-app:C"), None);
+
+        let mut full = Kripke::from_state_model(&model);
+        full.initial = vec![model.initial];
+        let formulas = [
+            Ctl::atom("by-app:B").not().always_globally(),
+            Ctl::atom("by-app:C").not().always_globally(),
+            Ctl::atom("attr:lamp.level=l2").exists_finally(),
+            Ctl::atom("triggered").all_next(),
+        ];
+        let on_fragment = ModelChecker::new(&fragment).check_all(&formulas);
+        assert_eq!(on_fragment, ModelChecker::new(&full).check_all(&formulas));
+        assert_eq!(
+            on_fragment[0].counterexample.as_deref(),
+            Some(
+                &[
+                    "[lamp.level=l0]".to_string(),
+                    "[lamp.level=l1] after water.wet".to_string(),
+                    "[lamp.level=l2] after app.touch".to_string(),
+                ][..]
+            )
+        );
+        assert!(on_fragment[1].holds && on_fragment[2].holds && on_fragment[3].holds);
     }
 
     #[test]

@@ -16,8 +16,7 @@ pub fn render_dot(model: &StateModel, reachable_only: bool) -> String {
     let _ = writeln!(out, "  rankdir=LR;");
     let _ = writeln!(out, "  node [shape=box, fontsize=10];");
     let keep: Vec<bool> = if reachable_only {
-        let reachable = model.reachable_from_initial();
-        (0..model.state_count()).map(|i| reachable.contains(&i)).collect()
+        model.reachable_mask()
     } else {
         vec![true; model.state_count()]
     };

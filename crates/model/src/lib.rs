@@ -52,7 +52,9 @@ pub mod union;
 
 pub use builder::{build_state_model, touched_keys, BuildOptions};
 pub use dot::render_dot;
-pub use model::{Nondeterminism, StateId, StateModel, Transition, TransitionLabel};
+pub use model::{
+    Nondeterminism, SourceIndex, StateId, StateModel, Transition, TransitionLabel,
+};
 pub use schema::{AttrId, PackedState, StateSchema, ValueId};
 pub use state::{label_fragment, AttrKey, State};
 #[doc(hidden)]

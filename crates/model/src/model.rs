@@ -54,6 +54,69 @@ pub struct Transition {
     pub label: Arc<TransitionLabel>,
 }
 
+/// The transitions of a model grouped by source state, built with one counting
+/// sort over [`StateModel::transitions`]. Each group lists indices into the
+/// transition list in list order, so walking a state's group visits its
+/// transitions in the order [`StateModel::outgoing`] does, without scanning the
+/// whole list per state.
+#[derive(Debug, Clone)]
+pub struct SourceIndex {
+    /// `order[offsets[s]..offsets[s + 1]]` is state `s`'s group.
+    offsets: Vec<u32>,
+    /// Transition indices, grouped by source.
+    order: Vec<u32>,
+}
+
+impl SourceIndex {
+    /// Indexes `model`'s transitions by source.
+    pub fn new(model: &StateModel) -> SourceIndex {
+        let q = model.state_count();
+        let count = model.transitions.len();
+        debug_assert!(count <= u32::MAX as usize, "transition list exceeds u32 indexing");
+        // Inclusive prefix sums of the per-source counts leave `offsets[s]` at the
+        // end of group `s`; filling back to front walks each one down to its start.
+        let mut offsets = vec![0u32; q + 1];
+        for t in &model.transitions {
+            offsets[t.from] += 1;
+        }
+        let mut acc = 0u32;
+        for slot in &mut offsets {
+            acc += *slot;
+            *slot = acc;
+        }
+        let mut order = vec![0u32; count];
+        for (i, t) in model.transitions.iter().enumerate().rev() {
+            offsets[t.from] -= 1;
+            order[offsets[t.from] as usize] = i as u32;
+        }
+        SourceIndex { offsets, order }
+    }
+
+    /// Indices into the model's transition list of the transitions leaving
+    /// `state`, in list order.
+    pub fn outgoing(&self, state: StateId) -> &[u32] {
+        &self.order[self.offsets[state] as usize..self.offsets[state + 1] as usize]
+    }
+
+    /// Which states `from` reaches in `model` (the model this index was built
+    /// from), `from` included, as a mask over the state universe.
+    pub fn reachable_mask(&self, model: &StateModel, from: StateId) -> Vec<bool> {
+        let mut visited = vec![false; self.offsets.len() - 1];
+        let mut stack = vec![from];
+        visited[from] = true;
+        while let Some(s) = stack.pop() {
+            for &t in self.outgoing(s) {
+                let to = model.transitions[t as usize].to;
+                if !visited[to] {
+                    visited[to] = true;
+                    stack.push(to);
+                }
+            }
+        }
+        visited
+    }
+}
+
 /// A nondeterminism witness: one source state and one event with two feasible
 /// transitions to different destinations. The paper reports nondeterministic state
 /// models as a safety violation.
@@ -170,24 +233,16 @@ impl StateModel {
         labels
     }
 
-    /// States reachable from the initial state (following transitions in any order).
+    /// Which states the initial state reaches (itself included), as a mask over
+    /// the state universe.
+    pub fn reachable_mask(&self) -> Vec<bool> {
+        SourceIndex::new(self).reachable_mask(self, self.initial)
+    }
+
+    /// States reachable from the initial state, in ascending order.
     pub fn reachable_from_initial(&self) -> Vec<StateId> {
-        let mut visited = vec![false; self.state_count()];
-        let mut stack = vec![self.initial];
-        visited[self.initial] = true;
-        while let Some(s) = stack.pop() {
-            for t in self.outgoing(s) {
-                if !visited[t.to] {
-                    visited[t.to] = true;
-                    stack.push(t.to);
-                }
-            }
-        }
-        visited
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| if *v { Some(i) } else { None })
-            .collect()
+        let mask = self.reachable_mask();
+        (0..mask.len()).filter(|&s| mask[s]).collect()
     }
 
     /// Detects nondeterminism: a state with two feasible transitions on the same event

@@ -413,6 +413,8 @@ impl Soteria {
     /// The applicable formulas are checked as one batch on one memo-sharing
     /// [`ModelChecker`] (the ~30 properties share subformula satisfaction
     /// sets), and so are the failing formulas on the reflection-free model.
+    /// Both checks run on the Kripke fragment the model's default initial
+    /// state reaches, which gives the full structure's verdicts.
     fn check_specific_on_model(
         &self,
         model: &StateModel,
@@ -425,7 +427,7 @@ impl Soteria {
         if formulas.is_empty() {
             return Vec::new();
         }
-        let kripke = default_initial_kripke(model);
+        let kripke = Kripke::reachable_from_state_model(model);
         let results = {
             let _s = soteria_obs::span("check.batch");
             ModelChecker::new(&kripke).check_all(&formulas)
@@ -442,7 +444,7 @@ impl Soteria {
             let kept: Vec<usize> =
                 (0..specs.len()).filter(|&i| !specs[i].via_reflection).collect();
             let m = rebuild_without_reflection(&kept);
-            let k = default_initial_kripke(&m);
+            let k = Kripke::reachable_from_state_model(&m);
             let failing_formulas: Vec<Ctl> =
                 failing.iter().map(|&i| formulas[i].clone()).collect();
             ModelChecker::new(&k).check_all(&failing_formulas).iter().map(|r| r.holds).collect()
@@ -493,9 +495,14 @@ fn checkable_formulas(ctx: &DeviceContext) -> Vec<(u8, Ctl)> {
         .collect()
 }
 
-/// Builds the Kripke structure of a model and restricts its initial states to the
-/// model's default configuration, so that `AG` properties quantify over the states the
-/// app can actually drive the environment into.
+/// Builds the full Kripke structure of a model and restricts its initial states to
+/// the model's default configuration, so that `AG` properties quantify over the
+/// states the app can actually drive the environment into.
+///
+/// This is the full-structure oracle: production checks build only the fragment
+/// this structure's initial state reaches ([`Kripke::reachable_from_state_model`]),
+/// and the differential tests hold every check on the fragment, counterexamples
+/// included, equal to the same check on this structure.
 pub fn default_initial_kripke(model: &StateModel) -> Kripke {
     let mut kripke = Kripke::from_state_model(model);
     // Quiescent Kripke states are created first, one per model state, in order — so
