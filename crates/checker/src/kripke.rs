@@ -25,21 +25,18 @@
 //! by [`Kripke::state_name`] only when a counterexample trace (or an export) asks
 //! for it, instead of eagerly for every state during construction.
 //!
-//! Construction is linear in the model's transitions and never renders a label
-//! per transition: [`Kripke::from_state_model`] resolves each transition's
-//! `(event label, app)` to a small *label class* id once per label allocation,
-//! keys event states on a packed `(destination, class)` integer, writes the
-//! label rows directly, and emits both CSRs from per-model-state target groups
-//! read off a counting-sorted [`SourceIndex`]. It is struct-equal to the reference builder in [`reference`],
-//! which only tests call.
-//!
-//! Production checks build only what the default initial state reaches:
-//! [`Kripke::reachable_from_state_model`] runs a breadth-first search from the
-//! quiescent state of `model.initial` over a source index of the transitions
-//! and numbers the fragment in the full structure's order, so every verdict
-//! and counterexample equals the full structure's. Market G.3, for example,
-//! reaches 78 of its 46,944 Kripke states. [`Kripke::from_state_model`] is the
-//! full-structure oracle the fragment is tested against.
+//! One builder makes every structure, and it never renders a label per
+//! transition: each transition's `(event label, app)` resolves to a small
+//! *label class* id once per label allocation, event states are keyed on a
+//! packed `(destination, class)` integer, label rows are written directly, and
+//! both CSRs are emitted from per-model-state target groups read off a
+//! counting-sorted [`SourceIndex`]. It has two entry points, which number
+//! states in the same order: [`Kripke::reachable_from_state_model`], which
+//! every production check uses, builds what the quiescent state of
+//! `model.initial` reaches (market G.3 reaches 78 of its 46,944 Kripke
+//! states), and [`Kripke::from_state_model`] builds the full structure, what
+//! every quiescent state reaches. The full structure is struct-equal to the
+//! independent builder in [`reference`], which only tests call.
 
 use crate::bitset::BitSet;
 use soteria_model::{SourceIndex, StateId, StateModel, TransitionLabel};
@@ -57,7 +54,7 @@ pub mod reference;
 ///
 /// `PartialEq` compares every field (atoms, labelling rows, both CSR arrays,
 /// naming data); two equal structures are interchangeable for checking, which
-/// is what the builder's struct-equality gates against
+/// is what the struct-equality gates of [`Kripke::from_state_model`] against
 /// [`reference::from_state_model`] rely on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Kripke {
@@ -71,8 +68,6 @@ pub struct Kripke {
     /// (`Arc<str>`) per label class, so a class's event states hold refcount
     /// bumps instead of tens of thousands of string allocations.
     pub incoming_event: Vec<Option<Arc<str>>>,
-    /// The app (if any) whose transition produced each Kripke state.
-    pub incoming_app: Vec<Option<Arc<str>>>,
     /// CSR offsets into `succ_targets`: the successors of state `s` are
     /// `succ_targets[succ_offsets[s]..succ_offsets[s + 1]]`.
     succ_offsets: Vec<u32>,
@@ -200,7 +195,6 @@ impl Kripke {
             atoms,
             initial,
             incoming_event: vec![None; n],
-            incoming_app: vec![None; n],
             name_override: names,
             ..Kripke::default()
         };
@@ -222,226 +216,33 @@ impl Kripke {
     /// Builds the Kripke structure of a state model.
     ///
     /// Kripke states are `(model state, incoming transition label)` pairs: one
-    /// "quiescent" state per model state (no incoming event) plus one state per
-    /// distinct `(destination, event, app)` combination among the transitions,
-    /// numbered in order of first occurrence. Every Kripke state over model state
-    /// `m` steps to the event states of `m`'s outgoing transitions.
-    ///
-    /// Nothing here is per-transition string work. Each transition's
-    /// `(event label, app)` resolves to a label class once per label allocation
-    /// (union models share one `Arc<TransitionLabel>` per lifted block, so market
-    /// G.3's ~154k transitions carry under 200 allocations). Each class
-    /// creates its first event state when it first appears, so interning the
-    /// classes' `event:`/`triggered`/`by-app:` atoms in class order keeps atoms
-    /// in first-occurrence order. Event states are keyed on a packed
-    /// `(destination, class)` `u64`, label rows are written directly, and the
-    /// successor lists are grouped per model state through a [`SourceIndex`],
-    /// each group sorted and deduplicated on its own, before
-    /// [`Kripke::set_transitions_grouped`] emits both CSRs.
+    /// "quiescent" state per model state (no incoming event), all of them
+    /// initial, plus one state per distinct `(destination, event, app)`
+    /// combination among the transitions, numbered in order of first
+    /// occurrence. Every Kripke state over model state `m` steps to the event
+    /// states of `m`'s outgoing transitions: the one builder's fragment reached
+    /// from every quiescent state.
     pub fn from_state_model(model: &StateModel) -> Kripke {
         let _span = soteria_obs::span("kripke.build");
-        let schema = &model.schema;
-        let q = model.state_count();
-        debug_assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
-        let mut kripke = Kripke::default();
-        let mut atom_lookup: HashMap<String, usize> = HashMap::new();
-        let attr_atoms = install_schema_atoms(&mut kripke, model, &mut atom_lookup);
-
-        // Event states in creation order, as (destination, class), plus each
-        // transition's Kripke target.
-        let mut classes = LabelClasses::default();
-        let mut event_state: EventStates = HashMap::default();
-        let mut event_keys: Vec<(StateId, u32)> = Vec::new();
-        let mut targets: Vec<u32> = Vec::with_capacity(model.transitions.len());
-        for t in &model.transitions {
-            let class = classes.resolve(&t.label);
-            let next = (q + event_keys.len()) as u32;
-            let id = *event_state.entry(event_key(t.to, class)).or_insert_with(|| {
-                event_keys.push((t.to, class));
-                next
-            });
-            targets.push(id);
-        }
-        let n = q + event_keys.len();
-        // Every class created its first event state when it appeared, so
-        // interning in class order keeps atoms in first-occurrence order.
-        let class_atoms: Vec<[usize; 3]> = (0..classes.classes.len())
-            .map(|c| classes.classes[c].intern_atoms(&mut kripke.atoms, &mut atom_lookup))
-            .collect();
-
-        // Quiescent states first, one per model state, all initial; then the
-        // event states, sharing their class's label strings.
-        let model_state: Vec<StateId> =
-            (0..q).chain(event_keys.iter().map(|&(to, _)| to)).collect();
-        kripke.initial = (0..q).collect();
-        kripke.incoming_event = vec![None; q];
-        kripke.incoming_event.extend(
-            event_keys.iter().map(|&(_, c)| Some(classes.classes[c as usize].event.clone())),
-        );
-        kripke.incoming_app = vec![None; q];
-        kripke.incoming_app.extend(
-            event_keys.iter().map(|&(_, c)| Some(classes.classes[c as usize].app.clone())),
-        );
-
-        // Label rows: every state carries its model state's attribute atoms
-        // (decoded once per model state by odometer, no division); event states
-        // add their class's three atoms.
-        let attrs = schema.attr_count();
-        let mut digit_table = vec![0u8; q * attrs];
-        for s in 1..q {
-            let (prev, row) = digit_table[(s - 1) * attrs..(s + 1) * attrs].split_at_mut(attrs);
-            row.copy_from_slice(prev);
-            schema.advance(row);
-        }
-        let mut rows = vec![BitSet::empty(n); kripke.atoms.len()];
-        for (s, &ms) in model_state.iter().enumerate() {
-            let digits = &digit_table[ms * attrs..(ms + 1) * attrs];
-            for (atoms, &d) in attr_atoms.iter().zip(digits) {
-                rows[atoms[d as usize]].insert(s);
-            }
-        }
-        for (s, &(_, class)) in (q..).zip(&event_keys) {
-            for &atom in &class_atoms[class as usize] {
-                rows[atom].insert(s);
-            }
-        }
-        kripke.atom_rows = rows;
-        kripke.atom_lookup = atom_lookup;
-
-        // Per-model-state target groups, read off the source index.
-        let index = SourceIndex::new(model);
-        let mut group_offsets: Vec<u32> = Vec::with_capacity(q + 1);
-        group_offsets.push(0);
-        let mut grouped: Vec<u32> = Vec::with_capacity(targets.len());
-        for ms in 0..q {
-            grouped.extend(index.outgoing(ms).iter().map(|&t| targets[t as usize]));
-            group_offsets.push(grouped.len() as u32);
-        }
-        sort_dedup_groups(&mut group_offsets, &mut grouped);
-        kripke.set_transitions_grouped(&model_state, &group_offsets, &grouped);
-        kripke.model_state = model_state;
-        kripke
+        let roots: Vec<StateId> = (0..model.state_count()).collect();
+        build(model, &SourceIndex::new(model), &roots, &vec![true; roots.len()])
     }
 
     /// Builds the part of [`Kripke::from_state_model`]'s structure that the
     /// quiescent state of `model.initial` reaches, with that state as the only
-    /// initial state. This is the fragment of `default_initial_kripke` (the
-    /// soteria crate's full-structure oracle) that its initial state reaches.
-    /// A CTL formula's value at a state depends only on the states it reaches,
-    /// so every check on the fragment gives the full structure's verdict.
-    ///
-    /// The fragment keeps the full structure's relative state order: the
-    /// initial quiescent state first, then the reachable event states by the
-    /// index of their first occurrence in the **whole** transition list, even
-    /// when that occurrence leaves an unreachable state. Successor lists stay
-    /// in the same relative order, so the checker's breadth-first tie-breaks,
-    /// and with them its counterexample traces, are the full structure's.
+    /// initial state. A CTL formula's value at a state depends only on the
+    /// states it reaches, so every check on the fragment gives the verdict of
+    /// the full structure with the same initial state.
     ///
     /// Work beyond the one source index and one scan of the transition list
-    /// is proportional to the fragment: a breadth-first search collects the
-    /// `(destination, label class)` pairs of the transitions that leave a
-    /// reachable model state, and only their states are labelled and emitted.
-    /// Atoms are the schema's plus the classes of the fragment's event states,
-    /// interned in fragment order; an atom that labels only unreachable states
-    /// is absent, which the checker reads as false everywhere, as it is on the
-    /// fragment of the full structure.
+    /// is proportional to the fragment. An atom that labels only unreachable
+    /// states is absent, which the checker reads as false everywhere, as it is
+    /// on the fragment of the full structure.
     pub fn reachable_from_state_model(model: &StateModel) -> Kripke {
         let _span = soteria_obs::span("kripke.build");
-        let q = model.state_count();
-        debug_assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
         let index = SourceIndex::new(model);
         let reached = index.reachable_mask(model, model.initial);
-        let mut kripke = Kripke::default();
-        let mut atom_lookup: HashMap<String, usize> = HashMap::new();
-        let attr_atoms = install_schema_atoms(&mut kripke, model, &mut atom_lookup);
-
-        // One target group per reachable model state, holding event-state slots
-        // (indices into `event_keys`, in discovery order) until they are ranked.
-        let mut classes = LabelClasses::default();
-        let mut event_slot: EventStates = HashMap::default();
-        let mut event_keys: Vec<(StateId, u32)> = Vec::new();
-        let mut group_of: HashMap<StateId, usize> = HashMap::new();
-        let mut group_offsets: Vec<u32> = vec![0];
-        let mut grouped: Vec<u32> = Vec::new();
-        for ms in (0..q).filter(|&ms| reached[ms]) {
-            group_of.insert(ms, group_offsets.len() - 1);
-            for &t in index.outgoing(ms) {
-                let t = &model.transitions[t as usize];
-                let class = classes.resolve(&t.label);
-                let next = event_keys.len() as u32;
-                let slot = *event_slot.entry(event_key(t.to, class)).or_insert_with(|| {
-                    event_keys.push((t.to, class));
-                    next
-                });
-                grouped.push(slot);
-            }
-            group_offsets.push(grouped.len() as u32);
-        }
-
-        // Rank the event states by first occurrence in the whole list: state
-        // 0 is the initial quiescent state, event states follow from 1.
-        let mut first = vec![usize::MAX; event_keys.len()];
-        let mut unranked = event_keys.len();
-        for (i, t) in model.transitions.iter().enumerate() {
-            if unranked == 0 {
-                break;
-            }
-            if !reached[t.to] {
-                continue;
-            }
-            let class = classes.resolve(&t.label);
-            if let Some(&slot) = event_slot.get(&event_key(t.to, class)) {
-                if first[slot as usize] == usize::MAX {
-                    first[slot as usize] = i;
-                    unranked -= 1;
-                }
-            }
-        }
-        let mut by_rank: Vec<u32> = (0..event_keys.len() as u32).collect();
-        by_rank.sort_unstable_by_key(|&slot| first[slot as usize]);
-        let mut rank = vec![0u32; event_keys.len()];
-        for (r, &slot) in (1..).zip(&by_rank) {
-            rank[slot as usize] = r;
-        }
-        for target in &mut grouped {
-            *target = rank[*target as usize];
-        }
-        sort_dedup_groups(&mut group_offsets, &mut grouped);
-
-        let n = 1 + event_keys.len();
-        let model_state: Vec<StateId> = std::iter::once(model.initial)
-            .chain(by_rank.iter().map(|&slot| event_keys[slot as usize].0))
-            .collect();
-        let mut class_atoms: Vec<Option<[usize; 3]>> = vec![None; classes.classes.len()];
-        let mut rows = vec![BitSet::empty(n); kripke.atoms.len()];
-        kripke.incoming_event = vec![None];
-        kripke.incoming_app = vec![None];
-        for (s, &slot) in (1..).zip(&by_rank) {
-            let class = &classes.classes[event_keys[slot as usize].1 as usize];
-            let atoms = *class_atoms[event_keys[slot as usize].1 as usize]
-                .get_or_insert_with(|| class.intern_atoms(&mut kripke.atoms, &mut atom_lookup));
-            rows.resize(kripke.atoms.len(), BitSet::empty(n));
-            for atom in atoms {
-                rows[atom].insert(s);
-            }
-            kripke.incoming_event.push(Some(class.event.clone()));
-            kripke.incoming_app.push(Some(class.app.clone()));
-        }
-        let mut digits = vec![0u8; model.schema.attr_count()];
-        for (s, &ms) in model_state.iter().enumerate() {
-            model.schema.digits_of(ms, &mut digits);
-            for (atoms, &d) in attr_atoms.iter().zip(&digits) {
-                rows[atoms[d as usize]].insert(s);
-            }
-        }
-        kripke.atom_rows = rows;
-        kripke.atom_lookup = atom_lookup;
-        kripke.initial = vec![0];
-
-        let state_group: Vec<usize> = model_state.iter().map(|ms| group_of[ms]).collect();
-        kripke.set_transitions_grouped(&state_group, &group_offsets, &grouped);
-        kripke.model_state = model_state;
-        kripke
+        build(model, &index, &[model.initial], &reached)
     }
 
     /// Always `None`: the caller falls back to a scratch build, because
@@ -520,6 +321,118 @@ impl Kripke {
     }
 }
 
+/// The one Kripke builder: the part of the full structure that the quiescent
+/// states of `roots` reach, with those states initial. `reached` marks the
+/// model states the roots reach and must hold every root.
+///
+/// States keep the full structure's relative order: the roots' quiescent
+/// states first, then the reached event states by the index of their first
+/// occurrence in the **whole** transition list, even when that occurrence
+/// leaves an unreached state. Successor lists stay in the same relative order,
+/// so the checker's breadth-first tie-breaks, and with them its counterexample
+/// traces, are the full structure's.
+///
+/// Union models share one `Arc<TransitionLabel>` per lifted block, so label
+/// classes resolve cheaply: market G.3's ~154k transitions carry under 200
+/// allocations. A class's atoms are interned when it labels its first state,
+/// which in rank order keeps atoms in first-occurrence order.
+fn build(model: &StateModel, index: &SourceIndex, roots: &[StateId], reached: &[bool]) -> Kripke {
+    let q = model.state_count();
+    debug_assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
+    let mut kripke = Kripke::default();
+    let mut atom_lookup: HashMap<String, usize> = HashMap::new();
+    let attr_atoms = install_schema_atoms(&mut kripke, model, &mut atom_lookup);
+
+    // One target group per reached model state, holding event-state slots
+    // (indices into `event_keys`, in discovery order) until they are ranked.
+    let mut classes = LabelClasses::default();
+    let mut event_slot: EventStates = HashMap::default();
+    let mut event_keys: Vec<(StateId, u32)> = Vec::new();
+    let mut group_of = vec![0usize; q];
+    let mut group_offsets: Vec<u32> = vec![0];
+    let mut grouped: Vec<u32> = Vec::new();
+    for ms in (0..q).filter(|&ms| reached[ms]) {
+        group_of[ms] = group_offsets.len() - 1;
+        for &t in index.outgoing(ms) {
+            let t = &model.transitions[t as usize];
+            let class = classes.resolve(&t.label);
+            let next = event_keys.len() as u32;
+            let slot = *event_slot.entry(event_key(t.to, class)).or_insert_with(|| {
+                event_keys.push((t.to, class));
+                next
+            });
+            grouped.push(slot);
+        }
+        group_offsets.push(grouped.len() as u32);
+    }
+
+    // Rank the event states by first occurrence in the whole list, after the
+    // roots' quiescent states.
+    let mut first = vec![usize::MAX; event_keys.len()];
+    let mut unranked = event_keys.len();
+    for (i, t) in model.transitions.iter().enumerate() {
+        if unranked == 0 {
+            break;
+        }
+        if !reached[t.to] {
+            continue;
+        }
+        let class = classes.resolve(&t.label);
+        if let Some(&slot) = event_slot.get(&event_key(t.to, class)) {
+            if first[slot as usize] == usize::MAX {
+                first[slot as usize] = i;
+                unranked -= 1;
+            }
+        }
+    }
+    let mut by_rank: Vec<u32> = (0..event_keys.len() as u32).collect();
+    by_rank.sort_unstable_by_key(|&slot| first[slot as usize]);
+    let mut rank = vec![0u32; event_keys.len()];
+    for (r, &slot) in (roots.len() as u32..).zip(&by_rank) {
+        rank[slot as usize] = r;
+    }
+    for target in &mut grouped {
+        *target = rank[*target as usize];
+    }
+    sort_dedup_groups(&mut group_offsets, &mut grouped);
+
+    let n = roots.len() + event_keys.len();
+    let model_state: Vec<StateId> = roots
+        .iter()
+        .copied()
+        .chain(by_rank.iter().map(|&slot| event_keys[slot as usize].0))
+        .collect();
+    let mut class_atoms: Vec<Option<[usize; 3]>> = vec![None; classes.classes.len()];
+    let mut rows = vec![BitSet::empty(n); kripke.atoms.len()];
+    kripke.incoming_event = vec![None; roots.len()];
+    for (s, &slot) in (roots.len()..).zip(&by_rank) {
+        let class = event_keys[slot as usize].1 as usize;
+        let atoms = *class_atoms[class].get_or_insert_with(|| {
+            let atoms = classes.classes[class].intern_atoms(&mut kripke.atoms, &mut atom_lookup);
+            rows.resize(kripke.atoms.len(), BitSet::empty(n));
+            atoms
+        });
+        for atom in atoms {
+            rows[atom].insert(s);
+        }
+        kripke.incoming_event.push(Some(classes.classes[class].event.clone()));
+    }
+    let mut digits = vec![0u8; model.schema.attr_count()];
+    for (s, &ms) in model_state.iter().enumerate() {
+        model.schema.digits_of(ms, &mut digits);
+        for (atoms, &d) in attr_atoms.iter().zip(&digits) {
+            rows[atoms[d as usize]].insert(s);
+        }
+    }
+    kripke.atom_rows = rows;
+    kripke.atom_lookup = atom_lookup;
+    kripke.initial = (0..roots.len()).collect();
+    let state_group: Vec<usize> = model_state.iter().map(|&ms| group_of[ms]).collect();
+    kripke.set_transitions_grouped(&state_group, &group_offsets, &grouped);
+    kripke.model_state = model_state;
+    kripke
+}
+
 /// Interns one atom name, returning its stable index.
 fn intern_atom(atoms: &mut Vec<String>, lookup: &mut HashMap<String, usize>, name: String) -> usize {
     if let Some(&i) = lookup.get(&name) {
@@ -559,8 +472,8 @@ fn sort_dedup_groups(offsets: &mut [u32], grouped: &mut Vec<u32>) {
 struct LabelClass {
     /// The rendered event label, shared by the class's event states.
     event: Arc<str>,
-    /// The contributing app, shared by the class's event states.
-    app: Arc<str>,
+    /// The contributing app, named by the class's `by-app:` atom.
+    app: String,
 }
 
 impl LabelClass {
@@ -598,8 +511,8 @@ struct LabelClasses {
 
 impl LabelClasses {
     /// The class of `label`, created on first sight. Creating a class interns
-    /// no atoms: builders intern a class's atoms ([`LabelClass::intern_atoms`])
-    /// when it labels its first emitted state.
+    /// no atoms: the builder interns a class's atoms
+    /// ([`LabelClass::intern_atoms`]) when it labels its first emitted state.
     fn resolve(&mut self, label: &Arc<TransitionLabel>) -> u32 {
         let ptr = Arc::as_ptr(label);
         if let Some((last, class)) = self.last {
@@ -618,7 +531,7 @@ impl LabelClasses {
                         let (event, app) = e.key();
                         self.classes.push(LabelClass {
                             event: Arc::from(event.as_str()),
-                            app: Arc::from(app.as_str()),
+                            app: app.clone(),
                         });
                         *e.insert(next)
                     }
@@ -632,7 +545,7 @@ impl LabelClasses {
     }
 }
 
-/// Event-state ids (or slots) by packed `(destination, class)` key.
+/// Event-state slots by packed `(destination, class)` key.
 type EventStates = HashMap<u64, u32, BuildHasherDefault<PackedKeyHasher>>;
 
 /// The packed key of the event state `(destination, class)`.
@@ -769,6 +682,10 @@ mod tests {
     fn matches_the_reference_builder() {
         let model = water_leak_model();
         assert_eq!(Kripke::from_state_model(&model), reference::from_state_model(&model));
+        // An unreachable source whose transition is a first occurrence, a
+        // deadlock and a class that labels only an unreachable state.
+        let model = fragment_model();
+        assert_eq!(Kripke::from_state_model(&model), reference::from_state_model(&model));
     }
 
     #[test]
@@ -891,7 +808,7 @@ mod tests {
         assert_eq!(fragment.predecessors(1), &[1, 2]);
         assert_eq!(fragment.atom_index("by-app:C"), None);
 
-        let mut full = Kripke::from_state_model(&model);
+        let mut full = reference::from_state_model(&model);
         full.initial = vec![model.initial];
         let formulas = [
             Ctl::atom("by-app:B").not().always_globally(),

@@ -1,6 +1,8 @@
-//! The reference Kripke builder: the straightforward construction that
-//! [`Kripke::from_state_model`] replaced, kept as the test oracle its output is
-//! asserted struct-equal to.
+//! The reference Kripke builder: the straightforward construction that the
+//! crate's one builder replaced, kept as the independent full-structure oracle.
+//! Tests assert [`Kripke::from_state_model`] struct-equal to it, and
+//! [`Kripke::reachable_from_state_model`] equal to its part that the default
+//! initial state reaches.
 //!
 //! It renders and hashes each transition's `(destination, event label, app)`
 //! key as strings, stages labels as per-state atom lists, and emits the CSR by
@@ -37,7 +39,6 @@ pub fn from_state_model(model: &StateModel) -> Kripke {
         per_state.push(labels);
         kripke.model_state.push(s);
         kripke.incoming_event.push(None);
-        kripke.incoming_app.push(None);
         kripke.initial.push(s);
         schema.advance(&mut digits);
     }
@@ -72,7 +73,6 @@ pub fn from_state_model(model: &StateModel) -> Kripke {
             per_state.push(labels);
             kripke.model_state.push(t.to);
             kripke.incoming_event.push(Some(Arc::from(event.as_str())));
-            kripke.incoming_app.push(Some(Arc::from(app.as_str())));
             id
         });
     }

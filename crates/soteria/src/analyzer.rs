@@ -499,10 +499,11 @@ fn checkable_formulas(ctx: &DeviceContext) -> Vec<(u8, Ctl)> {
 /// the model's default configuration, so that `AG` properties quantify over the
 /// states the app can actually drive the environment into.
 ///
-/// This is the full-structure oracle: production checks build only the fragment
-/// this structure's initial state reaches ([`Kripke::reachable_from_state_model`]),
-/// and the differential tests hold every check on the fragment, counterexamples
-/// included, equal to the same check on this structure.
+/// Production checks build only the fragment this structure's initial state
+/// reaches ([`Kripke::reachable_from_state_model`]), from the same builder. This
+/// full structure is kept for the benchmark's replay and for tests that compare
+/// engines or model encodings on it; the fragment's oracle is the independent
+/// `soteria_checker::kripke::reference` builder.
 pub fn default_initial_kripke(model: &StateModel) -> Kripke {
     let mut kripke = Kripke::from_state_model(model);
     // Quiescent Kripke states are created first, one per model state, in order — so

@@ -31,7 +31,6 @@ fn assert_matches_reference(context: &str, model: &StateModel) {
     assert_eq!(built.atoms, oracle.atoms, "{context}: atom order");
     assert_eq!(built.model_state, oracle.model_state, "{context}: state numbering");
     assert_eq!(built.incoming_event, oracle.incoming_event, "{context}: incoming events");
-    assert_eq!(built.incoming_app, oracle.incoming_app, "{context}: incoming apps");
     assert!(built == oracle, "{context}: structure differs from the reference builder");
 }
 

@@ -4,18 +4,19 @@
 //! default initial state reaches (`Kripke::reachable_from_state_model`). The
 //! fragment must be the full structure's reachable part renumbered in ascending
 //! order, and every `ModelChecker` result on it, counterexample traces included,
-//! must equal the result on the full structure with the same initial state
-//! (`default_initial_kripke`). This is checked for every applicable property
-//! formula on every corpus app and group, every G.3 TP21/TP22 edit variant and
-//! the reflection-free re-check models, and for random CTL formulas on random
-//! hand-built models. The model layer's source index, linear reachability and
+//! must equal the result on the full structure with the same initial state, as
+//! the independent reference builder (`kripke::reference`) builds it. This is
+//! checked for every applicable property formula on every corpus app and group,
+//! every G.3 TP21/TP22 edit variant and the reflection-free re-check models,
+//! and for random CTL formulas on random hand-built models. The model layer's source index, linear reachability and
 //! DOT rendering are checked against the quadratic definitions they replaced.
 
 use proptest::prelude::*;
-use soteria::{default_initial_kripke, IngestedApp, Soteria};
+use soteria::{IngestedApp, Soteria};
 use soteria_analysis::{PathCondition, TransitionSpec};
 use soteria_bench::{g3_variant_source, G3_EDIT_TOGGLES};
 use soteria_capability::{AttributeValue, Event, EventKind};
+use soteria_checker::kripke::reference;
 use soteria_checker::{Ctl, Kripke, ModelChecker};
 use soteria_corpus::{all_market_apps, maliot_groups, maliot_suite, market_groups, CorpusApp};
 use soteria_model::{
@@ -48,7 +49,8 @@ fn reachable_states(full: &Kripke) -> Vec<usize> {
 /// `CheckResult` on both. Returns the fragment's state count.
 fn assert_fragment_agrees(context: &str, model: &StateModel, formulas: &[Ctl]) -> usize {
     let fragment = Kripke::reachable_from_state_model(model);
-    let full = default_initial_kripke(model);
+    let mut full = reference::from_state_model(model);
+    full.initial = vec![model.initial];
     let reached = reachable_states(&full);
     assert_eq!(fragment.state_count(), reached.len(), "{context}: fragment size");
     assert_eq!(fragment.initial, vec![0], "{context}: initial state");
@@ -56,7 +58,6 @@ fn assert_fragment_agrees(context: &str, model: &StateModel, formulas: &[Ctl]) -
     for (f, &s) in reached.iter().enumerate() {
         assert_eq!(fragment.model_state[f], full.model_state[s], "{context}: state {f}");
         assert_eq!(fragment.incoming_event[f], full.incoming_event[s], "{context}: state {f}");
-        assert_eq!(fragment.incoming_app[f], full.incoming_app[s], "{context}: state {f}");
         assert_eq!(fragment.state_name(f), full.state_name(s), "{context}: state {f}");
         let successors: Vec<usize> =
             fragment.successors(f).iter().map(|&t| reached[t as usize]).collect();
@@ -380,7 +381,7 @@ proptest! {
         prop_assert_eq!(model.reachable_from_initial(), quadratic_reachable(&model));
         // Every atom of the full structure, those that label only unreachable
         // states included, and one that labels nothing.
-        let mut atoms = Kripke::from_state_model(&model).atoms;
+        let mut atoms = reference::from_state_model(&model).atoms;
         atoms.push("event:never".to_string());
         let formulas: Vec<Ctl> = (0..8).map(|_| random_formula(3, &atoms, &mut rng)).collect();
         assert_fragment_agrees(&format!("seed {seed}, {per_state} per state"), &model, &formulas);
