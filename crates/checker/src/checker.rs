@@ -1,27 +1,28 @@
-//! CTL model checking over Kripke structures, with counter-example extraction.
+//! Model checking over Kripke structures, with counter-example extraction.
 //!
-//! One engine, one evaluator. Satisfaction sets are packed bitsets (the role BDDs
-//! play in NuSMV) computed with frontier algorithms: `E [a U b]` is a reverse-edge
-//! worklist that only expands states newly added in the previous step, and `EG f`
-//! is successor-count elimination — both O(V + E). The pre-image iterates the set
-//! words of the target bitset rather than testing membership bit-by-bit.
+//! Two checkers, one for production and one as its oracle:
 //!
-//! Satisfaction sets are memoized per checker: [`ModelChecker::sat`] hash-conses
-//! formulas into dense node ids (atoms resolve to labelling rows, composite nodes
-//! key on `(operator, child ids)` — O(1) hashing per node) and caches each node's
-//! set by structural identity (interior mutability, so checking stays `&self`);
-//! [`ModelChecker::check_all`] batches a property sweep over one
-//! structure so the ~30 P.1–P.30 formulas share subformula sets (`triggered`, event
-//! atoms, negations) and the `AG` counterexample path reuses the cached `sat(body)`
-//! instead of recomputing it. Fixpoints and counterexample BFS run off the same
-//! CSR edge arrays stored in the [`Kripke`] structure. The independent oracle is
-//! [`crate::LegacyModelChecker`].
+//! * [`check_invariants`] is the production check. Every checkable P.1–P.30
+//!   formula is `AG body` with a propositional body. Like NuSMV's
+//!   `INVARSPEC`, such a formula is decided by a reachability search rather
+//!   than a CTL fixpoint: it fails exactly when a state reachable from the
+//!   initial state falsifies the body. One breadth-first search serves a
+//!   whole batch, so each failing formula's counterexample is the shortest
+//!   path, in successor order, to the first state the search dequeues that
+//!   falsifies its body.
+//! * [`ModelChecker`] is the one general CTL engine, the search's oracle,
+//!   written to be obviously right rather than fast. It rebuilds predecessors
+//!   per checker into `Vec<Vec<usize>>` adjacency from the [`Kripke`]
+//!   successor CSR, scans the whole state universe bit by bit for each
+//!   pre-image, and runs `E [a U b]` and `EG f` as round-based fixpoints that
+//!   recompute the pre-image of the **entire** accumulated set every round —
+//!   O(rounds × E). Nothing is memoized. Tests and the benchmark's replay,
+//!   which checks `soteria::default_initial_kripke`, are its only users.
 
 use crate::bitset::BitSet;
 use crate::ctl::Ctl;
 use crate::kripke::Kripke;
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The one checking engine. Kept only because the benchmark harness's replay
@@ -29,7 +30,7 @@ use std::sync::Arc;
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Packed bitset frontier fixpoints.
+    /// The round-based evaluator of [`ModelChecker`].
     #[default]
     Symbolic,
 }
@@ -47,39 +48,132 @@ pub struct CheckResult {
     pub counterexample: Option<Vec<String>>,
 }
 
-/// A hash-consed CTL node: operator discriminant plus dense child ids. Atoms are
-/// resolved to their labelling-row index at intern time (all unknown atoms collapse
-/// to the same `Atom(None)` node — they satisfy the empty set either way), so node
-/// keys are small `Copy` values and interning a formula hashes each node in O(1)
-/// instead of re-hashing whole subtrees per cache query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum NodeOp {
-    True,
-    False,
-    Atom(Option<u32>),
-    Not(u32),
-    And(u32, u32),
-    Or(u32, u32),
-    Implies(u32, u32),
-    Ex(u32),
-    Ef(u32),
-    Eg(u32),
-    Eu(u32, u32),
-    Ax(u32),
-    Af(u32),
-    Ag(u32),
-    Au(u32, u32),
+/// Queue pops between abort polls: coarse enough that the relaxed atomic load
+/// vanishes against the per-pop work, fine enough that a search over a large
+/// structure still observes an abort within a few thousand states.
+const ABORT_POLL_STRIDE: usize = 4096;
+
+/// Checks a batch of invariants, `AG body` with `body` built only from `True`,
+/// `False`, atoms, `Not`, `And`, `Or` and `Implies`, on a structure with one
+/// initial state. Returns one result per formula, in order.
+///
+/// When a stage abort handle is installed (`soteria_exec::current_abort`),
+/// it is polled before each body's state set is built and every
+/// `ABORT_POLL_STRIDE` queue pops, and an abort unwinds with its sentinel.
+///
+/// # Panics
+///
+/// Panics on any other formula shape and on a structure without exactly one
+/// initial state.
+pub fn check_invariants(kripke: &Kripke, formulas: &[Ctl]) -> Vec<CheckResult> {
+    let abort = soteria_exec::current_abort();
+    let poll = || {
+        if let Some(abort) = &abort {
+            abort.bail_if_aborted();
+        }
+    };
+    let [initial] = kripke.initial[..] else {
+        panic!("an invariant search needs exactly one initial state");
+    };
+    let bad: Vec<BitSet> = formulas
+        .iter()
+        .map(|formula| {
+            poll();
+            let Ctl::Ag(body) = formula else { panic!("not an invariant: {formula}") };
+            let mut bad = propositional_sat(kripke, body);
+            bad.complement();
+            bad
+        })
+        .collect();
+
+    // One search for every body: the first state dequeued in a body's bad set
+    // ends that body's search.
+    let n = kripke.state_count();
+    let mut violation: Vec<Option<usize>> = vec![None; formulas.len()];
+    let mut open: Vec<usize> = (0..formulas.len()).collect();
+    let mut parent: Vec<u32> = vec![u32::MAX; n];
+    let mut visited = BitSet::empty(n);
+    let mut queue = VecDeque::from([initial]);
+    visited.insert(initial);
+    let mut pops = 0usize;
+    while !open.is_empty() {
+        let Some(s) = queue.pop_front() else { break };
+        pops += 1;
+        if pops.is_multiple_of(ABORT_POLL_STRIDE) {
+            poll();
+        }
+        open.retain(|&i| {
+            let fails = bad[i].contains(s);
+            if fails {
+                violation[i] = Some(s);
+            }
+            !fails
+        });
+        for &succ in kripke.successors(s) {
+            let succ = succ as usize;
+            if !visited.contains(succ) {
+                visited.insert(succ);
+                parent[succ] = s as u32;
+                queue.push_back(succ);
+            }
+        }
+    }
+
+    violation
+        .into_iter()
+        .map(|found| match found {
+            None => CheckResult { holds: true, violating_initial_states: 0, counterexample: None },
+            Some(mut s) => {
+                let mut path = vec![s];
+                while s != initial {
+                    s = parent[s] as usize;
+                    path.push(s);
+                }
+                path.reverse();
+                CheckResult {
+                    holds: false,
+                    violating_initial_states: 1,
+                    counterexample: Some(path.into_iter().map(|s| kripke.state_name(s)).collect()),
+                }
+            }
+        })
+        .collect()
 }
 
-/// The interner + satisfaction-set memo behind the checker's cache:
-/// structurally identical subformulas intern to the same node id, and each node's
-/// sat set is computed at most once per checker. Atom nodes name labelling rows
-/// of the checker's structure, so a memo is only valid over that structure.
-#[derive(Debug, Default)]
-struct SatMemo {
-    node_ids: HashMap<NodeOp, u32>,
-    ops: Vec<NodeOp>,
-    sat: Vec<Option<BitSet>>,
+/// The states satisfying a propositional formula, from the atom rows. An
+/// atom the structure does not know holds nowhere.
+fn propositional_sat(kripke: &Kripke, formula: &Ctl) -> BitSet {
+    let n = kripke.state_count();
+    match formula {
+        Ctl::True => BitSet::full(n),
+        Ctl::False => BitSet::empty(n),
+        Ctl::Atom(a) => match kripke.atom_index(a) {
+            Some(row) => kripke.atom_row(row).clone(),
+            None => BitSet::empty(n),
+        },
+        Ctl::Not(f) => {
+            let mut set = propositional_sat(kripke, f);
+            set.complement();
+            set
+        }
+        Ctl::And(a, b) => {
+            let mut set = propositional_sat(kripke, a);
+            set.intersect_with(&propositional_sat(kripke, b));
+            set
+        }
+        Ctl::Or(a, b) => {
+            let mut set = propositional_sat(kripke, a);
+            set.union_with(&propositional_sat(kripke, b));
+            set
+        }
+        Ctl::Implies(a, b) => {
+            let mut set = propositional_sat(kripke, a);
+            set.complement();
+            set.union_with(&propositional_sat(kripke, b));
+            set
+        }
+        temporal => panic!("not a propositional invariant body: {temporal}"),
+    }
 }
 
 /// A handle to a checked structure and nothing else: no sat sets are kept
@@ -115,37 +209,20 @@ pub fn check_all_parallel_with(
 /// A CTL model checker over one Kripke structure.
 pub struct ModelChecker<'a> {
     kripke: &'a Kripke,
-    /// Interior-mutable sat-set cache keyed by structurally-hashed `Ctl` nodes,
-    /// shared across every `check`/`check_all` call on this checker so a property
-    /// sweep computes each distinct subformula set once.
-    memo: RefCell<SatMemo>,
-    /// The in-stage abort handle installed on the constructing thread, if any
-    /// (`soteria_exec::current_abort`). Polled between properties and every
-    /// `ABORT_POLL_STRIDE` worklist pops; when set, the checker unwinds with the
-    /// abort sentinel instead of finishing a sweep nobody wants. `None` (every
-    /// non-service path) makes each poll a single branch, and polling never
-    /// mutates state — the determinism gates hold byte-identically.
-    abort: Option<soteria_exec::AbortHandle>,
+    predecessors: Vec<Vec<usize>>,
 }
 
-/// Worklist iterations between abort polls: coarse enough that the relaxed
-/// atomic load vanishes against the per-pop edge scans, fine enough that a
-/// fixpoint over a large structure (the full G.3 structure has ~47k states)
-/// still observes an abort within a few thousand pops. Production checks run
-/// on the reachable fragment (78 states for G.3), whose fixpoints never reach
-/// the stride, so there the poll between properties is the one that fires.
-const ABORT_POLL_STRIDE: usize = 4096;
-
 impl<'a> ModelChecker<'a> {
-    /// Creates a checker. The transition relation (forward and reverse) is read
-    /// directly from the Kripke structure's CSR arrays; nothing is rebuilt per
-    /// checker.
+    /// Creates a checker, rebuilding the reverse relation from the structure's
+    /// successor lists.
     pub fn new(kripke: &'a Kripke) -> Self {
-        ModelChecker {
-            kripke,
-            memo: RefCell::new(SatMemo::default()),
-            abort: soteria_exec::current_abort(),
+        let mut predecessors = vec![Vec::new(); kripke.state_count()];
+        for from in 0..kripke.state_count() {
+            for &to in kripke.successors(from) {
+                predecessors[to as usize].push(from);
+            }
         }
+        ModelChecker { kripke, predecessors }
     }
 
     /// [`ModelChecker::new`]; the engine and sharding arguments are ignored.
@@ -169,135 +246,72 @@ impl<'a> ModelChecker<'a> {
         SatSnapshot { kripke }
     }
 
-    /// Abort poll point: unwinds with the abort sentinel when the constructing
-    /// stage was aborted. A no-op branch when no handle is installed.
-    #[inline]
-    fn poll_abort(&self) {
-        if let Some(abort) = &self.abort {
-            abort.bail_if_aborted();
-        }
-    }
-
-    /// The set of states satisfying a formula. Every subformula is memoized by
-    /// structural identity, so repeated subformulas within and across a property
-    /// sweep are computed once.
+    /// The set of states satisfying a formula.
     pub fn sat(&self, formula: &Ctl) -> BitSet {
-        let id = self.intern(formula);
-        self.sat_node(id)
-    }
-
-    /// Hash-conses a formula into the memo, bottom-up. Each node is hashed as a
-    /// small `(op, child ids)` key — O(1) per node — rather than by subtree.
-    fn intern(&self, formula: &Ctl) -> u32 {
-        let op = match formula {
-            Ctl::True => NodeOp::True,
-            Ctl::False => NodeOp::False,
-            Ctl::Atom(a) => NodeOp::Atom(self.kripke.atom_index(a).map(|i| i as u32)),
-            Ctl::Not(f) => NodeOp::Not(self.intern(f)),
-            Ctl::And(a, b) => NodeOp::And(self.intern(a), self.intern(b)),
-            Ctl::Or(a, b) => NodeOp::Or(self.intern(a), self.intern(b)),
-            Ctl::Implies(a, b) => NodeOp::Implies(self.intern(a), self.intern(b)),
-            Ctl::Ex(f) => NodeOp::Ex(self.intern(f)),
-            Ctl::Ef(f) => NodeOp::Ef(self.intern(f)),
-            Ctl::Eg(f) => NodeOp::Eg(self.intern(f)),
-            Ctl::Eu(a, b) => NodeOp::Eu(self.intern(a), self.intern(b)),
-            Ctl::Ax(f) => NodeOp::Ax(self.intern(f)),
-            Ctl::Af(f) => NodeOp::Af(self.intern(f)),
-            Ctl::Ag(f) => NodeOp::Ag(self.intern(f)),
-            Ctl::Au(a, b) => NodeOp::Au(self.intern(a), self.intern(b)),
-        };
-        self.intern_op(op)
-    }
-
-    /// Interns one node, assigning its dense id on first sight.
-    fn intern_op(&self, op: NodeOp) -> u32 {
-        let mut memo = self.memo.borrow_mut();
-        if let Some(&id) = memo.node_ids.get(&op) {
-            return id;
-        }
-        let id = memo.ops.len() as u32;
-        memo.node_ids.insert(op, id);
-        memo.ops.push(op);
-        memo.sat.push(None);
-        id
-    }
-
-    /// The satisfaction set of an interned node, memoized. This is the one
-    /// implementation of CTL semantics on the production path;
-    /// `tests/engine_differential.rs` fuzzes it against `LegacyModelChecker`.
-    fn sat_node(&self, id: u32) -> BitSet {
-        if let Some(hit) = &self.memo.borrow().sat[id as usize] {
-            return hit.clone();
-        }
-        let op = self.memo.borrow().ops[id as usize];
         let n = self.kripke.state_count();
-        let result = match op {
-            NodeOp::True => BitSet::full(n),
-            NodeOp::False => BitSet::empty(n),
-            // The Kripke structure stores labelling column-wise; satisfaction of an
-            // atom is its precomputed row, not a per-state scan.
-            NodeOp::Atom(Some(row)) => self.kripke.atom_row(row as usize).clone(),
-            NodeOp::Atom(None) => BitSet::empty(n),
-            NodeOp::Not(f) => {
-                let mut set = self.sat_node(f);
+        match formula {
+            Ctl::True => BitSet::full(n),
+            Ctl::False => BitSet::empty(n),
+            Ctl::Atom(a) => match self.kripke.atom_index(a) {
+                Some(idx) => self.kripke.atom_row(idx).clone(),
+                None => BitSet::empty(n),
+            },
+            Ctl::Not(f) => {
+                let mut set = self.sat(f);
                 set.complement();
                 set
             }
-            NodeOp::And(a, b) => {
-                let mut set = self.sat_node(a);
-                set.intersect_with(&self.sat_node(b));
+            Ctl::And(a, b) => {
+                let mut set = self.sat(a);
+                set.intersect_with(&self.sat(b));
                 set
             }
-            NodeOp::Or(a, b) => {
-                let mut set = self.sat_node(a);
-                set.union_with(&self.sat_node(b));
+            Ctl::Or(a, b) => {
+                let mut set = self.sat(a);
+                set.union_with(&self.sat(b));
                 set
             }
-            NodeOp::Implies(a, b) => {
+            Ctl::Implies(a, b) => {
                 // a -> b  ≡  !a | b
-                let mut not_a = self.sat_node(a);
+                let mut not_a = self.sat(a);
                 not_a.complement();
-                not_a.union_with(&self.sat_node(b));
+                not_a.union_with(&self.sat(b));
                 not_a
             }
-            NodeOp::Ex(f) => self.pre_exists(&self.sat_node(f)),
-            NodeOp::Ef(f) => {
-                // EF f = E [true U f]
-                self.least_fixpoint_eu(&BitSet::full(n), &self.sat_node(f))
-            }
-            NodeOp::Eu(a, b) => self.least_fixpoint_eu(&self.sat_node(a), &self.sat_node(b)),
-            NodeOp::Eg(f) => self.greatest_fixpoint_eg(&self.sat_node(f)),
-            NodeOp::Ax(f) => {
+            Ctl::Ex(f) => self.pre_exists(&self.sat(f)),
+            // EF f = E [true U f]
+            Ctl::Ef(f) => self.least_fixpoint_eu(&BitSet::full(n), &self.sat(f)),
+            Ctl::Eu(a, b) => self.least_fixpoint_eu(&self.sat(a), &self.sat(b)),
+            Ctl::Eg(f) => self.greatest_fixpoint_eg(&self.sat(f)),
+            Ctl::Ax(f) => {
                 // AX f = !EX !f
-                let mut not_f = self.sat_node(f);
+                let mut not_f = self.sat(f);
                 not_f.complement();
                 let mut result = self.pre_exists(&not_f);
                 result.complement();
                 result
             }
-            NodeOp::Af(f) => {
+            Ctl::Af(f) => {
                 // AF f = !EG !f
-                let mut not_f = self.sat_node(f);
+                let mut not_f = self.sat(f);
                 not_f.complement();
                 let mut result = self.greatest_fixpoint_eg(&not_f);
                 result.complement();
                 result
             }
-            NodeOp::Ag(f) => {
+            Ctl::Ag(f) => {
                 // AG f = !EF !f
-                let mut not_f = self.sat_node(f);
+                let mut not_f = self.sat(f);
                 not_f.complement();
                 let mut result = self.least_fixpoint_eu(&BitSet::full(n), &not_f);
                 result.complement();
                 result
             }
-            NodeOp::Au(a, b) => {
+            Ctl::Au(a, b) => {
                 // A [a U b] = !(E [!b U (!a & !b)] | EG !b)
-                let sat_a = self.sat_node(a);
-                let sat_b = self.sat_node(b);
-                let mut not_a = sat_a.clone();
+                let mut not_a = self.sat(a);
                 not_a.complement();
-                let mut not_b = sat_b.clone();
+                let mut not_b = self.sat(b);
                 not_b.complement();
                 let mut not_a_and_not_b = not_a;
                 not_a_and_not_b.intersect_with(&not_b);
@@ -306,91 +320,49 @@ impl<'a> ModelChecker<'a> {
                 bad.complement();
                 bad
             }
-        };
-        self.memo.borrow_mut().sat[id as usize] = Some(result.clone());
-        result
+        }
     }
 
-    /// States with at least one successor in `target` (the existential pre-image).
-    /// `BitSet::iter` walks set words and peels bits, so only the members of
-    /// `target` are visited — not the whole universe.
+    /// Bit-by-bit pre-image: states with at least one successor in `target`.
     fn pre_exists(&self, target: &BitSet) -> BitSet {
-        let mut result = BitSet::empty(self.kripke.state_count());
-        for to in target.iter() {
-            for &from in self.kripke.predecessors(to) {
-                result.insert(from as usize);
-            }
-        }
-        result
-    }
-
-    /// Least fixpoint for `E [a U b]`: a frontier worklist over the reverse CSR
-    /// edges. Only states newly added are expanded, so every reverse edge is
-    /// processed at most once — O(V + E) total, versus a round-based loop's
-    /// O(rounds × E) re-scan of the entire accumulated set.
-    fn least_fixpoint_eu(&self, sat_a: &BitSet, sat_b: &BitSet) -> BitSet {
-        let _span = soteria_obs::span("checker.fixpoint_eu");
-        let mut result = sat_b.clone();
-        let mut frontier: Vec<u32> = sat_b.iter().map(|s| s as u32).collect();
-        let mut pops = 0usize;
-        while let Some(s) = frontier.pop() {
-            pops += 1;
-            if pops.is_multiple_of(ABORT_POLL_STRIDE) {
-                self.poll_abort();
-            }
-            for &p in self.kripke.predecessors(s as usize) {
-                let p_usize = p as usize;
-                if sat_a.contains(p_usize) && !result.contains(p_usize) {
-                    result.insert(p_usize);
-                    frontier.push(p);
-                }
-            }
-        }
-        result
-    }
-
-    /// Greatest fixpoint for `EG f`, by successor-count elimination: every state
-    /// of `sat f` tracks how many of its successors remain viable; states whose
-    /// count reaches zero are eliminated and their predecessors decremented
-    /// through the reverse CSR edges. Each edge is touched a constant number of
-    /// times — O(V + E).
-    fn greatest_fixpoint_eg(&self, sat_f: &BitSet) -> BitSet {
-        let _span = soteria_obs::span("checker.fixpoint_eg");
         let n = self.kripke.state_count();
-        let mut result = sat_f.clone();
-        let mut viable = vec![0u32; n];
-        let mut eliminated: Vec<u32> = Vec::new();
-        for s in sat_f.iter() {
-            let count = self
-                .kripke
-                .successors(s)
-                .iter()
-                .filter(|&&t| sat_f.contains(t as usize))
-                .count() as u32;
-            viable[s] = count;
-            if count == 0 {
-                result.remove(s);
-                eliminated.push(s as u32);
-            }
-        }
-        let mut pops = 0usize;
-        while let Some(s) = eliminated.pop() {
-            pops += 1;
-            if pops.is_multiple_of(ABORT_POLL_STRIDE) {
-                self.poll_abort();
-            }
-            for &p in self.kripke.predecessors(s as usize) {
-                let p_usize = p as usize;
-                if result.contains(p_usize) {
-                    viable[p_usize] -= 1;
-                    if viable[p_usize] == 0 {
-                        result.remove(p_usize);
-                        eliminated.push(p);
-                    }
+        let mut result = BitSet::empty(n);
+        for to in 0..n {
+            if target.contains(to) {
+                for &from in &self.predecessors[to] {
+                    result.insert(from);
                 }
             }
         }
         result
+    }
+
+    /// Round-based least fixpoint for `E [a U b]`: re-derives the pre-image of
+    /// the whole accumulated set each round.
+    fn least_fixpoint_eu(&self, sat_a: &BitSet, sat_b: &BitSet) -> BitSet {
+        let mut result = sat_b.clone();
+        loop {
+            let mut pre = self.pre_exists(&result);
+            pre.intersect_with(sat_a);
+            pre.union_with(&result);
+            if pre == result {
+                return result;
+            }
+            result = pre;
+        }
+    }
+
+    /// Round-based greatest fixpoint for `EG f`.
+    fn greatest_fixpoint_eg(&self, sat_f: &BitSet) -> BitSet {
+        let mut result = sat_f.clone();
+        loop {
+            let mut pre = self.pre_exists(&result);
+            pre.intersect_with(sat_f);
+            if pre == result {
+                return result;
+            }
+            result = pre;
+        }
     }
 
     /// Checks a formula against the Kripke structure's initial states and extracts a
@@ -415,19 +387,10 @@ impl<'a> ModelChecker<'a> {
         }
     }
 
-    /// Checks a batch of properties against the same structure. The
-    /// satisfaction-set cache is shared across the whole batch: subformulas
-    /// common to several properties (event atoms, `triggered`, their negations)
-    /// are computed once.
+    /// Checks a batch of properties against the same structure, each from
+    /// scratch.
     pub fn check_all(&self, formulas: &[Ctl]) -> Vec<CheckResult> {
-        let _span = soteria_obs::span("checker.check_all");
-        formulas
-            .iter()
-            .map(|f| {
-                self.poll_abort();
-                self.check(f)
-            })
-            .collect()
+        formulas.iter().map(|f| self.check(f)).collect()
     }
 
     /// Builds a counter-example trace starting at `from`. For `AG f` the trace is the
@@ -435,8 +398,6 @@ impl<'a> ModelChecker<'a> {
     /// is the violating initial state alone.
     fn counterexample(&self, formula: &Ctl, from: usize) -> Vec<String> {
         if let Ctl::Ag(body) = formula {
-            // `sat(body)` hits the memo: the body set was already computed while
-            // checking the formula itself.
             let mut bad = self.sat(body);
             bad.complement();
             if let Some(path) = self.shortest_path(from, &bad) {
@@ -446,13 +407,13 @@ impl<'a> ModelChecker<'a> {
         vec![self.kripke.state_name(from)]
     }
 
-    /// Breadth-first shortest path from `from` to any state in `targets`, over the
-    /// same CSR successor array the fixpoints use.
+    /// Breadth-first shortest path from `from` to any state in `targets`, over
+    /// the CSR successor order.
     fn shortest_path(&self, from: usize, targets: &BitSet) -> Option<Vec<usize>> {
         let n = self.kripke.state_count();
         let mut parent: Vec<Option<usize>> = vec![None; n];
         let mut visited = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
+        let mut queue = VecDeque::new();
         visited[from] = true;
         queue.push_back(from);
         while let Some(s) = queue.pop_front() {
@@ -482,7 +443,7 @@ impl<'a> ModelChecker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legacy::LegacyModelChecker;
+    use soteria_exec::{is_abort_payload, with_abort, AbortHandle};
 
     /// A hand-built three-state Kripke structure:
     /// s0 --> s1 --> s2, s2 loops; atoms: p on s0 and s1, q on s2.
@@ -497,12 +458,8 @@ mod tests {
         kripke
     }
 
-    /// Checks `formula` on the line structure, asserting the legacy oracle agrees.
     fn check(formula: &Ctl) -> CheckResult {
-        let kripke = line_kripke();
-        let result = ModelChecker::new(&kripke).check(formula);
-        assert_eq!(result, LegacyModelChecker::new(&kripke).check(formula), "legacy on {formula}");
-        result
+        ModelChecker::new(&line_kripke()).check(formula)
     }
 
     #[test]
@@ -533,8 +490,9 @@ mod tests {
     #[test]
     fn counterexample_path_for_ag() {
         let kripke = line_kripke();
-        let checker = ModelChecker::new(&kripke);
-        let result = checker.check(&Ctl::atom("p").always_globally());
+        let formula = Ctl::atom("p").always_globally();
+        let result = ModelChecker::new(&kripke).check(&formula);
+        assert_eq!(check_invariants(&kripke, std::slice::from_ref(&formula)), vec![result.clone()]);
         let trace = result.counterexample.unwrap();
         assert_eq!(trace, vec!["s0".to_string(), "s1".to_string(), "s2".to_string()]);
     }
@@ -543,18 +501,16 @@ mod tests {
     fn engines_agree_on_random_like_formulas() {
         let kripke = line_kripke();
         let formulas = vec![
-            Ctl::atom("p").and(Ctl::atom("q").not()).exists_finally(),
-            Ctl::Ag(Box::new(Ctl::atom("p").implies(Ctl::atom("q").exists_finally()))),
-            Ctl::Af(Box::new(Ctl::atom("q").and(Ctl::atom("p").not()))),
-            Ctl::Eg(Box::new(Ctl::atom("q"))),
-            Ctl::Au(Box::new(Ctl::True), Box::new(Ctl::atom("q"))),
+            Ctl::atom("p").and(Ctl::atom("q").not()).always_globally(),
+            Ctl::atom("p").implies(Ctl::atom("q").not()).always_globally(),
+            Ctl::atom("q").or(Ctl::atom("p").not().not()).always_globally(),
+            Ctl::False.implies(Ctl::atom("q")).always_globally(),
+            Ctl::True.and(Ctl::atom("q")).always_globally(),
         ];
         let checker = ModelChecker::new(&kripke);
-        let legacy = LegacyModelChecker::new(&kripke);
-        for f in formulas {
-            let a = checker.sat(&f);
-            let b = legacy.sat(&f);
-            assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>(), "formula {f}");
+        let searched = check_invariants(&kripke, &formulas);
+        for (f, got) in formulas.iter().zip(&searched) {
+            assert_eq!(got, &checker.check(f), "formula {f}");
         }
     }
 
@@ -565,10 +521,9 @@ mod tests {
             Ctl::atom("p").always_globally(),
             Ctl::atom("q").always_finally(),
             Ctl::atom("p").or(Ctl::atom("q")).always_globally(),
-            Ctl::atom("p").always_globally(), // repeated: served from the cache
+            Ctl::atom("p").always_globally(),
         ];
-        let batch = ModelChecker::new(&kripke);
-        let batched = batch.check_all(&formulas);
+        let batched = ModelChecker::new(&kripke).check_all(&formulas);
         for (f, b) in formulas.iter().zip(&batched) {
             let fresh = ModelChecker::new(&kripke).check(f);
             assert_eq!(&fresh, b, "batched result differs on {f}");
@@ -601,45 +556,24 @@ mod tests {
     }
 
     #[test]
-    fn frontier_fixpoints_agree_with_legacy_on_a_ring() {
+    fn the_search_agrees_with_the_fixpoints_on_a_ring() {
         let kripke = ring_kripke();
         let checker = ModelChecker::new(&kripke);
-        let legacy = LegacyModelChecker::new(&kripke);
+        assert!(checker.check(&Ctl::atom("q").exists_finally()).holds);
+        assert!(checker.check(&Ctl::atom("q").always_finally()).holds);
+        assert!(!checker.check(&Ctl::Eg(Box::new(Ctl::atom("q").not()))).holds);
         let formulas = vec![
-            Ctl::atom("q").exists_finally(),
-            Ctl::atom("q").always_finally(),
-            Ctl::Eg(Box::new(Ctl::atom("p").or(Ctl::atom("q").not()))),
-            Ctl::Eu(Box::new(Ctl::atom("p").not().not()), Box::new(Ctl::atom("q"))),
-            Ctl::atom("p").implies(Ctl::atom("q").exists_finally()).always_globally(),
-            Ctl::Au(Box::new(Ctl::True), Box::new(Ctl::atom("q"))),
+            Ctl::atom("q").not().always_globally(),
+            Ctl::atom("p").or(Ctl::atom("q").not()).always_globally(),
+            Ctl::atom("p").implies(Ctl::atom("q").not()).always_globally(),
+            Ctl::atom("p").and(Ctl::atom("q")).not().always_globally(),
         ];
-        for f in &formulas {
-            assert_eq!(
-                checker.sat(f).iter().collect::<Vec<_>>(),
-                legacy.sat(f).iter().collect::<Vec<_>>(),
-                "legacy disagrees on {f}"
-            );
-            assert_eq!(checker.check(f), legacy.check(f), "legacy verdict on {f}");
+        let searched = check_invariants(&kripke, &formulas);
+        for (f, got) in formulas.iter().zip(&searched) {
+            assert_eq!(got, &checker.check(f), "search disagrees on {f}");
         }
-    }
-
-    #[test]
-    fn sat_cache_is_consistent_across_repeated_queries() {
-        let kripke = ring_kripke();
-        let checker = ModelChecker::new(&kripke);
-        let f = Ctl::atom("p").implies(Ctl::atom("q").exists_finally()).always_globally();
-        let first = checker.sat(&f);
-        let second = checker.sat(&f);
-        assert_eq!(first.iter().collect::<Vec<_>>(), second.iter().collect::<Vec<_>>());
-        // Every subformula node was interned and memoized: p, q, EF q, p -> EF q,
-        // AG (...) — five nodes, five cached sets.
-        let memo = checker.memo.borrow();
-        assert_eq!(memo.ops.len(), 5);
-        assert!(memo.sat.iter().all(|s| s.is_some()));
-        // Structurally identical subformulas share one node.
-        drop(memo);
-        checker.sat(&Ctl::atom("q").exists_finally());
-        assert_eq!(checker.memo.borrow().ops.len(), 5);
+        // The 100-state path to r99 is the counterexample of the first.
+        assert_eq!(searched[0].counterexample.as_ref().map(Vec::len), Some(100));
     }
 
     #[test]
@@ -647,7 +581,65 @@ mod tests {
         let kripke = line_kripke();
         let checker = ModelChecker::new(&kripke);
         assert!(checker.sat(&Ctl::atom("missing")).is_empty());
-        let result = checker.check(&Ctl::atom("missing").always_globally());
+        let formula = Ctl::atom("missing").always_globally();
+        let result = checker.check(&formula);
         assert!(!result.holds);
+        assert_eq!(check_invariants(&kripke, &[formula]), vec![result]);
+    }
+
+    /// s0 --> {s1, s2}, s1 --> s3, s2 --> s3, s3 loops; p on s1, q on s3.
+    fn diamond_kripke() -> Kripke {
+        let mut kripke = Kripke::from_lists(
+            vec!["p".into(), "q".into()],
+            vec!["s0".into(), "s1".into(), "s2".into(), "s3".into()],
+            &[vec![1, 2], vec![3], vec![3], vec![3]],
+            vec![0],
+        );
+        kripke.set_labels(&[vec![], vec![0], vec![], vec![1]]);
+        kripke
+    }
+
+    #[test]
+    fn one_search_answers_every_body() {
+        let kripke = diamond_kripke();
+        let formulas = [
+            Ctl::atom("p").not().always_globally(),
+            Ctl::atom("q").not().always_globally(),
+            Ctl::atom("p").and(Ctl::atom("q")).not().always_globally(),
+            Ctl::atom("missing").implies(Ctl::False).always_globally(),
+        ];
+        let results = check_invariants(&kripke, &formulas);
+        assert_eq!(results, ModelChecker::new(&kripke).check_all(&formulas));
+        let trace = |names: &[&str]| Some(names.iter().map(|s| s.to_string()).collect());
+        assert_eq!(results[0].counterexample, trace(&["s0", "s1"]));
+        assert_eq!(results[1].counterexample, trace(&["s0", "s1", "s3"]));
+        assert!(results[2].holds && results[3].holds);
+        assert_eq!(results[0].violating_initial_states, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not an invariant")]
+    fn rejects_a_formula_that_is_not_ag() {
+        check_invariants(&diamond_kripke(), &[Ctl::atom("p").exists_finally()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a propositional invariant body")]
+    fn rejects_a_temporal_body() {
+        check_invariants(&diamond_kripke(), &[Ctl::atom("p").all_next().always_globally()]);
+    }
+
+    #[test]
+    fn an_aborted_stage_unwinds_with_the_sentinel() {
+        let handle = AbortHandle::new();
+        handle.abort();
+        let kripke = diamond_kripke();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_abort(Some(handle), || {
+                check_invariants(&kripke, &[Ctl::atom("p").not().always_globally()])
+            })
+        }));
+        let payload = unwound.expect_err("an aborted search must unwind");
+        assert!(is_abort_payload(payload.as_ref()), "unwound with a foreign payload");
     }
 }

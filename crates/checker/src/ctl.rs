@@ -7,10 +7,6 @@
 use std::fmt;
 
 /// A CTL state formula.
-///
-/// Structural sharing for the checker's satisfaction-set cache happens by interning
-/// each node into the checker's `NodeOp` table, not by hashing `Ctl` trees — see
-/// `ModelChecker::intern`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Ctl {
     /// Constant true.

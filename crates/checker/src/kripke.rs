@@ -12,12 +12,11 @@
 //! `(attribute id, value digit)` pair of the model's interned schema, so building the
 //! structure formats each proposition string once rather than once per state.
 //!
-//! The transition relation is stored once, in compressed-sparse-row (CSR) form, in
-//! **both** directions: [`Kripke::successors`] and [`Kripke::predecessors`] index flat
-//! `u32` target arrays through per-state offset arrays. Every consumer — the
-//! checker's frontier fixpoints and its counterexample BFS — runs off the same
-//! two arrays, replacing the seed's per-state `Vec<Vec<usize>>` successor lists
-//! and the per-`ModelChecker` predecessor rebuild.
+//! The transition relation is stored once, in compressed-sparse-row (CSR) form:
+//! [`Kripke::successors`] indexes a flat `u32` target array through a per-state
+//! offset array. The invariant search, its counterexample parent chain and the
+//! oracle engine's per-checker predecessor lists all read that one array. There
+//! is no reverse CSR: nothing on a production path walks edges backwards.
 //!
 //! State names are lazy: construction records only `(model state, incoming event)`
 //! per Kripke state plus one label fragment per `(attribute, value)` pair of the
@@ -29,7 +28,7 @@
 //! transition: each transition's `(event label, app)` resolves to a small
 //! *label class* id once per label allocation, event states are keyed on a
 //! packed `(destination, class)` integer, label rows are written directly, and
-//! both CSRs are emitted from per-model-state target groups read off a
+//! the CSR is emitted from per-model-state target groups read off a
 //! counting-sorted [`SourceIndex`]. It has two entry points, which number
 //! states in the same order: [`Kripke::reachable_from_state_model`], which
 //! every production check uses, builds what the quiescent state of
@@ -50,9 +49,9 @@ use std::sync::Arc;
 pub mod reference;
 
 /// A Kripke structure: states labelled with atomic propositions and a total
-/// transition relation stored as forward + reverse CSR arrays.
+/// transition relation stored as successor CSR arrays.
 ///
-/// `PartialEq` compares every field (atoms, labelling rows, both CSR arrays,
+/// `PartialEq` compares every field (atoms, labelling rows, the CSR arrays,
 /// naming data); two equal structures are interchangeable for checking, which
 /// is what the struct-equality gates of [`Kripke::from_state_model`] against
 /// [`reference::from_state_model`] rely on.
@@ -71,12 +70,8 @@ pub struct Kripke {
     /// CSR offsets into `succ_targets`: the successors of state `s` are
     /// `succ_targets[succ_offsets[s]..succ_offsets[s + 1]]`.
     succ_offsets: Vec<u32>,
-    /// Flat successor array (forward edges, sorted per source).
+    /// Flat successor array (edges, sorted per source).
     succ_targets: Vec<u32>,
-    /// CSR offsets into `pred_targets` (reverse edges).
-    pred_offsets: Vec<u32>,
-    /// Flat predecessor array (reverse edges, sorted per target).
-    pred_targets: Vec<u32>,
     /// Explicit per-state names for hand-built structures (tests, fuzzing); empty
     /// for model-derived structures, whose names are derived lazily.
     name_override: Vec<String>,
@@ -107,11 +102,6 @@ impl Kripke {
     /// The successors of one state (CSR slice).
     pub fn successors(&self, state: usize) -> &[u32] {
         &self.succ_targets[self.succ_offsets[state] as usize..self.succ_offsets[state + 1] as usize]
-    }
-
-    /// The predecessors of one state (reverse CSR slice).
-    pub fn predecessors(&self, state: usize) -> &[u32] {
-        &self.pred_targets[self.pred_offsets[state] as usize..self.pred_offsets[state + 1] as usize]
     }
 
     /// Index of an atom, if it exists in the universe (hash lookup, not a scan).
@@ -273,7 +263,7 @@ impl Kripke {
         grouped: &[u32],
     ) {
         let n = state_group.len();
-        debug_assert!(n <= u32::MAX as usize, "state universe exceeds u32 indexing");
+        assert!(n <= u32::MAX as usize, "state universe exceeds u32 indexing");
         self.succ_offsets = Vec::with_capacity(n + 1);
         self.succ_offsets.push(0);
         let mut acc = 0u32;
@@ -293,31 +283,7 @@ impl Kripke {
                 succ_targets.extend_from_slice(&grouped[lo..hi]);
             }
         }
-        // Reverse CSR by counting sort; filling in (source asc, target asc)
-        // order keeps each predecessor list sorted.
-        let mut in_degree = vec![0u32; n];
-        for &to in &succ_targets {
-            in_degree[to as usize] += 1;
-        }
-        self.pred_offsets = Vec::with_capacity(n + 1);
-        self.pred_offsets.push(0);
-        let mut acc = 0u32;
-        for &degree in &in_degree {
-            acc += degree;
-            self.pred_offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = self.pred_offsets[..n].to_vec();
-        let mut pred_targets = vec![0u32; succ_targets.len()];
-        for s in 0..n {
-            let (lo, hi) = (self.succ_offsets[s] as usize, self.succ_offsets[s + 1] as usize);
-            for &to in &succ_targets[lo..hi] {
-                let slot = cursor[to as usize];
-                pred_targets[slot as usize] = s as u32;
-                cursor[to as usize] += 1;
-            }
-        }
         self.succ_targets = succ_targets;
-        self.pred_targets = pred_targets;
     }
 }
 
@@ -338,7 +304,7 @@ impl Kripke {
 /// which in rank order keeps atoms in first-occurrence order.
 fn build(model: &StateModel, index: &SourceIndex, roots: &[StateId], reached: &[bool]) -> Kripke {
     let q = model.state_count();
-    debug_assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
+    assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
     let mut kripke = Kripke::default();
     let mut atom_lookup: HashMap<String, usize> = HashMap::new();
     let attr_atoms = install_schema_atoms(&mut kripke, model, &mut atom_lookup);
@@ -708,29 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_csr_mirrors_forward_csr() {
-        let model = water_leak_model();
-        let kripke = Kripke::from_state_model(&model);
-        let n = kripke.state_count();
-        let mut forward: Vec<(u32, u32)> = Vec::new();
-        for s in 0..n {
-            for &t in kripke.successors(s) {
-                forward.push((s as u32, t));
-            }
-        }
-        let mut reverse: Vec<(u32, u32)> = Vec::new();
-        for t in 0..n {
-            for &s in kripke.predecessors(t) {
-                reverse.push((s, t as u32));
-            }
-        }
-        forward.sort_unstable();
-        reverse.sort_unstable();
-        assert_eq!(forward, reverse);
-        assert_eq!(forward.len(), kripke.edge_count());
-    }
-
-    #[test]
     fn state_names_are_formatted_lazily_and_match_model_labels() {
         let model = water_leak_model();
         let kripke = Kripke::from_state_model(&model);
@@ -758,7 +701,6 @@ mod tests {
         assert_eq!(kripke.successors(0), &[1]);
         // Deadlocked state 1 gets a self-loop.
         assert_eq!(kripke.successors(1), &[1]);
-        assert_eq!(kripke.predecessors(1), &[0, 1]);
         assert!(kripke.holds(0, "p"));
     }
 
@@ -805,7 +747,6 @@ mod tests {
         assert_eq!(fragment.successors(2), &[1]);
         // The deadlock keeps its totalising self-loop.
         assert_eq!(fragment.successors(1), &[1]);
-        assert_eq!(fragment.predecessors(1), &[1, 2]);
         assert_eq!(fragment.atom_index("by-app:C"), None);
 
         let mut full = reference::from_state_model(&model);

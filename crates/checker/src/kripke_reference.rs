@@ -96,8 +96,8 @@ pub fn from_state_model(model: &StateModel) -> Kripke {
     kripke
 }
 
-/// Installs the transition relation from an edge list, building the forward and
-/// reverse CSR arrays in one pass each. The relation is made total by adding a
+/// Installs the transition relation from an edge list, building the CSR
+/// arrays in one pass. The relation is made total by adding a
 /// self-loop to every deadlocked state. `edges` is consumed (sorted, deduplicated)
 /// to avoid an extra copy.
 fn set_transitions(kripke: &mut Kripke, mut edges: Vec<(u32, u32)>) {
@@ -116,7 +116,7 @@ fn set_transitions(kripke: &mut Kripke, mut edges: Vec<(u32, u32)>) {
         }
     }
     edges.sort_unstable();
-    // Forward CSR: edges are sorted by source, so the flat target array is a
+    // Edges are sorted by source, so the flat target array is a
     // direct projection.
     kripke.succ_offsets = Vec::with_capacity(n + 1);
     kripke.succ_offsets.push(0);
@@ -126,23 +126,4 @@ fn set_transitions(kripke: &mut Kripke, mut edges: Vec<(u32, u32)>) {
         kripke.succ_offsets.push(acc);
     }
     kripke.succ_targets = edges.iter().map(|&(_, to)| to).collect();
-    // Reverse CSR by counting sort on the target column.
-    let mut in_degree = vec![0u32; n];
-    for &(_, to) in &edges {
-        in_degree[to as usize] += 1;
-    }
-    kripke.pred_offsets = Vec::with_capacity(n + 1);
-    kripke.pred_offsets.push(0);
-    let mut acc = 0u32;
-    for &degree in &in_degree {
-        acc += degree;
-        kripke.pred_offsets.push(acc);
-    }
-    let mut cursor: Vec<u32> = kripke.pred_offsets[..n].to_vec();
-    kripke.pred_targets = vec![0u32; edges.len()];
-    for &(from, to) in &edges {
-        let slot = cursor[to as usize];
-        kripke.pred_targets[slot as usize] = from;
-        cursor[to as usize] += 1;
-    }
 }

@@ -1,36 +1,33 @@
-//! A from-scratch symbolic model checker standing in for NuSMV (Sec. 5 of the paper).
+//! A from-scratch model checker standing in for NuSMV (Sec. 5 of the paper).
 //!
 //! Soteria translates each extracted state model into a Kripke structure and verifies
 //! temporal-logic properties with NuSMV. This crate provides the equivalent substrate:
 //!
 //! * [`Kripke`] — Kripke structures derived from state models, with event labels
-//!   exposed as atomic propositions, the transition relation stored once as forward
-//!   and reverse CSR arrays, and state names formatted lazily on demand; built in
+//!   exposed as atomic propositions, the transition relation stored once as a
+//!   successor CSR array, and state names formatted lazily on demand; built in
 //!   time linear in the model's transitions from interned label classes;
-//! * [`Ctl`] — CTL formula syntax with convenience builders and structural hashing;
-//! * [`ModelChecker`] — exact CTL model checking with one engine: a memoized
-//!   evaluator over hash-consed formula nodes with O(V+E) frontier/elimination
-//!   fixpoints over packed bitsets, cross-property satisfaction-set sharing through
-//!   the batch [`ModelChecker::check_all`] entry point, and counter-example
-//!   extraction;
-//! * [`LegacyModelChecker`] — the frozen pre-CSR round-based checker, the one
-//!   independent checker oracle of the differential tests
-//!   (`tests/engine_differential.rs`);
+//! * [`Ctl`] — CTL formula syntax with convenience builders;
+//! * [`check_invariants`] — the production check: every checkable P.1–P.30
+//!   formula is `AG` of a propositional body, so one breadth-first search from
+//!   the initial state decides a whole batch and yields each failure's shortest
+//!   counterexample, as NuSMV's `INVARSPEC` does;
+//! * [`ModelChecker`] — the one general CTL engine, round-based fixpoints over
+//!   packed bitsets, kept off production paths as the search's oracle;
 //! * [`render_smv`] — SMV-format output of models and specs for external inspection.
 
 pub mod bitset;
 pub mod checker;
 pub mod ctl;
+// `kripke::reference` is the Kripke builder's reference oracle, kept off
+// production paths (a child of `kripke` so it can set the private CSR fields).
 pub mod kripke;
-// Reference oracles, kept off production paths: `legacy` for the checker and
-// `kripke::reference` for the Kripke builder (a child of `kripke` so it can
-// set the private CSR fields).
-pub mod legacy;
 pub mod smv;
 
 pub use bitset::BitSet;
-pub use checker::{check_all_parallel_with, CheckResult, Engine, ModelChecker, SatSnapshot};
+pub use checker::{
+    check_all_parallel_with, check_invariants, CheckResult, Engine, ModelChecker, SatSnapshot,
+};
 pub use ctl::Ctl;
 pub use kripke::Kripke;
-pub use legacy::LegacyModelChecker;
 pub use smv::{render_smv, smv_formula};

@@ -16,8 +16,8 @@
 //! [`is_abort_payload`].
 //!
 //! Handles propagate implicitly through a thread-local ([`with_abort`] installs,
-//! [`current_abort`] observes), so deep callees — the model checker's fixpoint
-//! loops, the union lift's per-edge loop — poll without every intermediate
+//! [`current_abort`] observes), so deep callees — the invariant search's
+//! queue loop, the union lift's per-edge loop — poll without every intermediate
 //! signature changing. The pool's scoped maps re-install the caller's handle on
 //! their helper threads, so a parallel stage aborts all of its workers, not just
 //! the thread that happened to carry the flag.

@@ -24,7 +24,7 @@
 //! (`R: Send`); there is no locking on the data path. The mutexes in the pool
 //! collect finished chunks (touched once per chunk, not per item) and guard the
 //! injector queue (touched once per task). Callers that need per-worker mutable
-//! scratch (e.g. a checker's sat-set memo) allocate it inside `f` — one
+//! scratch (e.g. an invariant search's queue) allocate it inside `f` — one
 //! instance per item — instead of sharing it.
 //!
 //! Every call site must preserve the sequential result exactly: the map

@@ -337,7 +337,7 @@ fn worker_loop(shared: &Shared) {
         // report failures through their tickets.
         {
             // Re-install the submitter's trace so everything the task records
-            // (stage spans, checker fixpoints) lands in the owning job's trace.
+            // (stage spans, check batches) lands in the owning job's trace.
             let _trace = obs.map(|o| soteria_obs::install_trace(o.trace));
             let _run = if obs.is_some() { Some(soteria_obs::span("pool.run")) } else { None };
             let _ = panic::catch_unwind(panic::AssertUnwindSafe(task));

@@ -11,18 +11,16 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// Options controlling model construction.
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
-    /// Drop attributes that no transition reads (as an event) or writes (as an
-    /// effect). Keeps union models tractable; single-app models keep all attributes by
-    /// default so state counts match the Cartesian-product definition.
-    pub prune_untouched_attributes: bool,
-    /// Hard cap on the number of materialised states; exceeding it switches pruning on
-    /// automatically.
+    /// Hard cap on the number of materialised states. A product above it drops
+    /// the attributes that no transition reads (as an event) or writes (as an
+    /// effect); below it, models keep every attribute so state counts match the
+    /// Cartesian-product definition.
     pub max_states: usize,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        BuildOptions { prune_untouched_attributes: false, max_states: 60_000 }
+        BuildOptions { max_states: 60_000 }
     }
 }
 
@@ -43,8 +41,8 @@ pub fn build_state_model(
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect();
 
-    let product: usize = attributes.values().map(|d| d.len().max(1)).product();
-    if options.prune_untouched_attributes || product > options.max_states {
+    let product = attributes.values().fold(1usize, |acc, d| acc.saturating_mul(d.len().max(1)));
+    if product > options.max_states {
         let touched = touched_keys(specs);
         attributes.retain(|k, _| touched.contains(k));
     }
@@ -313,7 +311,7 @@ mod tests {
             &ir.name,
             &abstraction,
             &specs,
-            &BuildOptions { prune_untouched_attributes: true, max_states: 60_000 },
+            &BuildOptions { max_states: 0 },
         );
         assert_eq!(full.state_count(), 8); // switch × lock × motion
         assert_eq!(pruned.state_count(), 4); // switch × motion

@@ -75,7 +75,7 @@ pub fn build_state_model_legacy(
         .collect();
 
     let product: usize = attributes.values().map(|d| d.len().max(1)).product();
-    if options.prune_untouched_attributes || product > options.max_states {
+    if product > options.max_states {
         let touched = crate::builder::touched_keys(specs);
         attributes.retain(|k, _| touched.contains(k));
     }

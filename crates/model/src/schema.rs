@@ -67,8 +67,9 @@ impl StateSchema {
     /// # Panics
     ///
     /// Panics if more than `u16::MAX` attributes or a domain with more than
-    /// `u8::MAX + 1` values is supplied; property abstraction keeps real domains far
-    /// below both bounds.
+    /// `u8::MAX + 1` values is supplied, or if the product of the domain sizes
+    /// does not fit a `usize` state id; property abstraction keeps real
+    /// domains far below all three bounds.
     pub fn new(attributes: &BTreeMap<AttrKey, Vec<AttributeValue>>) -> Self {
         let mut schema = StateSchema::default();
         for (key, domain) in attributes {
@@ -100,7 +101,11 @@ impl StateSchema {
         let mut acc = 1usize;
         for i in (0..schema.keys.len()).rev() {
             schema.strides[i] = acc;
-            acc = acc.saturating_mul(schema.domains[i].len());
+            acc = acc.checked_mul(schema.domains[i].len()).unwrap_or_else(|| {
+                let sizes: Vec<String> =
+                    schema.domains.iter().map(|d| d.len().to_string()).collect();
+                panic!("state product {} exceeds usize state ids", sizes.join(" × "))
+            });
         }
         schema.state_count = acc.max(1);
         schema
@@ -346,6 +351,18 @@ mod tests {
         assert_eq!(schema.attr_count(), 1);
         assert_eq!(schema.state_count(), 1);
         assert!(schema.attr_id(&("b".to_string(), "y".to_string())).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds usize state ids")]
+    fn a_product_past_usize_is_refused() {
+        let attrs: BTreeMap<AttrKey, Vec<AttributeValue>> = (0..64)
+            .map(|i| {
+                let domain = vec![AttributeValue::symbol("off"), AttributeValue::symbol("on")];
+                ((format!("d{i}"), "switch".to_string()), domain)
+            })
+            .collect();
+        StateSchema::new(&attrs);
     }
 
     #[test]

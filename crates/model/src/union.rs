@@ -101,7 +101,7 @@ fn merged_attributes(
             }
         }
     }
-    let product: usize = attributes.values().map(|d| d.len().max(1)).product();
+    let product = attributes.values().fold(1usize, |acc, d| acc.saturating_mul(d.len().max(1)));
     if options.prune_untouched_attributes || product > options.max_states {
         let touched = touched_union_keys(models);
         attributes.retain(|k, _| touched.contains(k));

@@ -6,7 +6,7 @@ use crate::report::{
 };
 use soteria_analysis::{abstract_domains, AnalysisConfig, SymbolicExecutor, TransitionSpec};
 use soteria_capability::CapabilityRegistry;
-use soteria_checker::{Ctl, Engine, Kripke, ModelChecker, SatSnapshot};
+use soteria_checker::{check_invariants, Ctl, Engine, Kripke, ModelChecker, SatSnapshot};
 use soteria_ir::AppIr;
 use soteria_lang::ParseError;
 use soteria_model::{build_state_model, union_models, BuildOptions, StateModel, UnionOptions};
@@ -410,11 +410,12 @@ impl Soteria {
     /// reflection over-approximation can be marked as possible false positives (the
     /// MalIoT App5 case).
     ///
-    /// The applicable formulas are checked as one batch on one memo-sharing
-    /// [`ModelChecker`] (the ~30 properties share subformula satisfaction
-    /// sets), and so are the failing formulas on the reflection-free model.
-    /// Both checks run on the Kripke fragment the model's default initial
-    /// state reaches, which gives the full structure's verdicts.
+    /// Every checkable formula is an invariant, `AG` of a propositional body,
+    /// so the applicable formulas are checked as one batch by one forward
+    /// search ([`check_invariants`]), and so are the failing formulas on the
+    /// reflection-free model. Both searches run on the Kripke fragment the
+    /// model's default initial state reaches, which gives the full
+    /// structure's verdicts and counterexamples.
     fn check_specific_on_model(
         &self,
         model: &StateModel,
@@ -430,7 +431,7 @@ impl Soteria {
         let kripke = Kripke::reachable_from_state_model(model);
         let results = {
             let _s = soteria_obs::span("check.batch");
-            ModelChecker::new(&kripke).check_all(&formulas)
+            check_invariants(&kripke, &formulas)
         };
 
         let failing: Vec<usize> =
@@ -447,7 +448,7 @@ impl Soteria {
             let k = Kripke::reachable_from_state_model(&m);
             let failing_formulas: Vec<Ctl> =
                 failing.iter().map(|&i| formulas[i].clone()).collect();
-            ModelChecker::new(&k).check_all(&failing_formulas).iter().map(|r| r.holds).collect()
+            check_invariants(&k, &failing_formulas).iter().map(|r| r.holds).collect()
         } else {
             vec![false; failing.len()]
         };
@@ -500,10 +501,12 @@ fn checkable_formulas(ctx: &DeviceContext) -> Vec<(u8, Ctl)> {
 /// states the app can actually drive the environment into.
 ///
 /// Production checks build only the fragment this structure's initial state
-/// reaches ([`Kripke::reachable_from_state_model`]), from the same builder. This
-/// full structure is kept for the benchmark's replay and for tests that compare
-/// engines or model encodings on it; the fragment's oracle is the independent
-/// `soteria_checker::kripke::reference` builder.
+/// reaches ([`Kripke::reachable_from_state_model`]), from the same builder, and
+/// search it with [`check_invariants`]. This full structure is kept for the
+/// benchmark's replay, which checks it with the CTL engine
+/// ([`ModelChecker`]), and for tests that compare model encodings on it; the
+/// fragment's oracle is the independent `soteria_checker::kripke::reference`
+/// builder.
 pub fn default_initial_kripke(model: &StateModel) -> Kripke {
     let mut kripke = Kripke::from_state_model(model);
     // Quiescent Kripke states are created first, one per model state, in order — so

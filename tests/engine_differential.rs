@@ -1,17 +1,19 @@
-//! Differential fuzzing of the model checker: random Kripke structures and random
-//! CTL formulas must produce identical satisfaction sets and verdicts from the
-//! production `ModelChecker` and the frozen pre-CSR `LegacyModelChecker`, the one
-//! independent checker oracle — including along app-level edit chains, where each
-//! rebuilt union is checked against the seed union oracle and its property sweep
-//! against the legacy checker. The same agreements are pinned on the corpus: the
-//! full P.1–P.30 sweep of the running examples and the MalIoT suite, and every
-//! TP21/TP22 edit variant of market G.3.
+//! Differential fuzzing of the invariant search against the CTL engine: on
+//! random Kripke structures and random invariants, `check_invariants` must
+//! return exactly the `CheckResult`s (verdicts, violating-state counts and
+//! counterexample traces) of `ModelChecker`, the one general CTL engine and the
+//! search's oracle. The same agreement is pinned along app-level edit chains,
+//! where each rebuilt union is also checked against the seed union oracle, and
+//! on the corpus: the full P.1–P.30 sweep of the running examples and the
+//! MalIoT suite, and every TP21/TP22 edit variant of market G.3. The search
+//! runs on the reachable fragment production checks; the engine runs on the
+//! full structure with the default initial state.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use soteria::{default_initial_kripke, AppAnalysis, Soteria};
 use soteria_bench::{analyze_all, g3_variant_source};
-use soteria_checker::{Ctl, Kripke, LegacyModelChecker, ModelChecker};
+use soteria_checker::{check_invariants, Ctl, Kripke, ModelChecker};
 use soteria_corpus::{all_market_apps, maliot_groups, maliot_suite, market_groups, running};
 use soteria_model::legacy::union_models_legacy;
 use soteria_model::{union_models, StateModel, UnionOptions};
@@ -20,8 +22,8 @@ use soteria_properties::{applicable_properties, formula, AppUnderTest, DeviceCon
 const ATOMS: [&str; 4] = ["p", "q", "r", "s"];
 
 /// A random structure: `n` states, 0–3 successors each (deadlocks are allowed —
-/// `Kripke::from_lists` totalises them), random labelling over four atoms, and a
-/// random non-empty initial set.
+/// `Kripke::from_lists` totalises them), random labelling over four atoms, and
+/// one random initial state.
 fn random_kripke(n: usize, rng: &mut TestRng) -> Kripke {
     let successor_lists: Vec<Vec<usize>> = (0..n)
         .map(|_| {
@@ -29,13 +31,7 @@ fn random_kripke(n: usize, rng: &mut TestRng) -> Kripke {
             (0..degree).map(|_| (rng.next_u64() as usize) % n).collect()
         })
         .collect();
-    let initial: Vec<usize> = {
-        let mut set: Vec<usize> = (0..n).filter(|_| rng.next_u64().is_multiple_of(3)).collect();
-        if set.is_empty() {
-            set.push((rng.next_u64() as usize) % n);
-        }
-        set
-    };
+    let initial = vec![(rng.next_u64() as usize) % n];
     let labels: Vec<Vec<usize>> = (0..n)
         .map(|_| (0..ATOMS.len()).filter(|_| rng.next_u64().is_multiple_of(2)).collect())
         .collect();
@@ -50,8 +46,9 @@ fn random_kripke(n: usize, rng: &mut TestRng) -> Kripke {
     kripke
 }
 
-/// Builds a random CTL formula of bounded depth covering every operator.
-fn random_formula(depth: usize, rng: &mut TestRng) -> Ctl {
+/// Builds a random propositional formula of bounded depth covering every
+/// connective an invariant body may use.
+fn random_body(depth: usize, rng: &mut TestRng) -> Ctl {
     if depth == 0 {
         return match rng.next_u64() % 6 {
             0 => Ctl::True,
@@ -59,30 +56,21 @@ fn random_formula(depth: usize, rng: &mut TestRng) -> Ctl {
             _ => Ctl::atom(ATOMS[(rng.next_u64() as usize) % ATOMS.len()]),
         };
     }
-    let sub = |rng: &mut TestRng| Box::new(random_formula(depth - 1, rng));
-    match rng.next_u64() % 13 {
+    let sub = |rng: &mut TestRng| Box::new(random_body(depth - 1, rng));
+    match rng.next_u64() % 5 {
         0 => Ctl::Not(sub(rng)),
         1 => Ctl::And(sub(rng), sub(rng)),
         2 => Ctl::Or(sub(rng), sub(rng)),
         3 => Ctl::Implies(sub(rng), sub(rng)),
-        4 => Ctl::Ex(sub(rng)),
-        5 => Ctl::Ef(sub(rng)),
-        6 => Ctl::Eg(sub(rng)),
-        7 => Ctl::Eu(sub(rng), sub(rng)),
-        8 => Ctl::Ax(sub(rng)),
-        9 => Ctl::Af(sub(rng)),
-        10 => Ctl::Ag(sub(rng)),
-        11 => Ctl::Au(sub(rng), sub(rng)),
-        _ => random_formula(0, rng),
+        _ => random_body(0, rng),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The checker and the legacy oracle agree — sat sets, verdicts,
-    /// violating-state counts, and counterexample traces — on arbitrary
-    /// structures and formulas.
+    /// The search and the CTL engine agree — verdicts, violating-state counts
+    /// and counterexample traces — on arbitrary structures and invariants.
     #[test]
     // The state-count range straddles one bitset word (64 states), so both
     // single-word and multi-word sets are exercised.
@@ -93,35 +81,14 @@ proptest! {
             rng.next_u64();
         }
         let kripke = random_kripke(n, &mut rng);
+        let formulas: Vec<Ctl> =
+            (0..8).map(|_| random_body(3, &mut rng).always_globally()).collect();
+        let searched = check_invariants(&kripke, &formulas);
         let checker = ModelChecker::new(&kripke);
-        let legacy = LegacyModelChecker::new(&kripke);
-        for _ in 0..8 {
-            let formula = random_formula(3, &mut rng);
-            let sat: Vec<usize> = checker.sat(&formula).iter().collect();
-            let leg_sat: Vec<usize> = legacy.sat(&formula).iter().collect();
-            prop_assert_eq!(&sat, &leg_sat, "checker vs legacy sat on {} (n={})", formula, n);
-            let result = checker.check(&formula);
-            let leg = legacy.check(&formula);
-            prop_assert_eq!(&result, &leg, "checker vs legacy verdict on {}", formula);
+        for (f, got) in formulas.iter().zip(&searched) {
+            prop_assert_eq!(got, &checker.check(f), "search vs engine on {} (n={})", f, n);
         }
     }
-
-    /// The memoizing batch API returns exactly what per-formula checking returns.
-    #[test]
-    fn batch_check_matches_fresh_checkers((n, seed) in (1usize..120, 0usize..1_000_000)) {
-        let mut rng = TestRng::deterministic();
-        for _ in 0..(seed % 89) {
-            rng.next_u64();
-        }
-        let kripke = random_kripke(n, &mut rng);
-        let formulas: Vec<Ctl> = (0..6).map(|_| random_formula(2, &mut rng)).collect();
-        let batch = ModelChecker::new(&kripke).check_all(&formulas);
-        for (f, b) in formulas.iter().zip(&batch) {
-            let fresh = ModelChecker::new(&kripke).check(f);
-            prop_assert_eq!(&fresh, b, "batched verdict differs on {}", f);
-        }
-    }
-
 }
 
 /// A tiny app over fixed devices whose handler behaviour is one of four
@@ -155,7 +122,7 @@ proptest! {
     /// App-level edit-sequence fuzz: random chains of single-member edits over a
     /// three-app group. At every step the union must be byte-identical to the
     /// seed oracle `union_models_legacy`, and the group's property sweep must
-    /// return identical `CheckResult`s from the checker and the legacy oracle.
+    /// return identical `CheckResult`s from the search and the CTL engine.
     #[test]
     fn delta_unions_and_incremental_verdicts_survive_random_edit_chains(
         seed in 0usize..1_000_000
@@ -194,22 +161,19 @@ proptest! {
             );
             prop_assert_eq!(&scratch_union.attributes, &legacy_union.attributes);
 
-            // The group's property sweep: checker against the legacy oracle.
+            // The group's property sweep: the search against the CTL engine.
             let refs: Vec<&AppAnalysis> = analyses.iter().collect();
-            let (kripke, formulas) = property_sweep("G", &refs);
+            let (model, formulas) = property_sweep("G", &refs);
             prop_assert!(!formulas.is_empty(), "the group has checkable properties");
-            let results = ModelChecker::new(&kripke).check_all(&formulas);
-            let legacy = LegacyModelChecker::new(&kripke).check_all(&formulas);
-            prop_assert_eq!(&results, &legacy, "checker vs legacy at step {}", step);
+            assert_search_matches_engine(&format!("step {step}"), &model, &formulas);
         }
     }
 }
 
-/// The structure and formulas the analyzer's property sweep checks for a set of
-/// members: the default-initial Kripke structure of the member's own model (one
-/// member) or of their union, and every applicable non-trivial P.1–P.30 formula
-/// over their combined devices.
-fn property_sweep(name: &str, members: &[&AppAnalysis]) -> (Kripke, Vec<Ctl>) {
+/// The model and formulas the analyzer's property sweep checks for a set of
+/// members: the member's own model (one member) or their union, and every
+/// applicable non-trivial P.1–P.30 formula over their combined devices.
+fn property_sweep(name: &str, members: &[&AppAnalysis]) -> (StateModel, Vec<Ctl>) {
     let under_test: Vec<AppUnderTest<'_>> = members
         .iter()
         .map(|a| AppUnderTest {
@@ -225,23 +189,34 @@ fn property_sweep(name: &str, members: &[&AppAnalysis]) -> (Kripke, Vec<Ctl>) {
         .filter_map(|id| formula(id, &ctx))
         .filter(|f| *f != Ctl::True)
         .collect();
-    let kripke = match members {
-        [app] => default_initial_kripke(&app.model),
+    let model = match members {
+        [app] => app.model.clone(),
         _ => {
             let models: Vec<&StateModel> = members.iter().map(|a| &a.model).collect();
-            default_initial_kripke(&union_models(name, &models, &UnionOptions::default()))
+            union_models(name, &models, &UnionOptions::default())
         }
     };
-    (kripke, formulas)
+    (model, formulas)
 }
 
-/// The checker and the legacy oracle return identical `CheckResult`s (verdict,
+/// The production check, `check_invariants` on the reachable fragment, returns
+/// the `CheckResult`s of `ModelChecker` on the default-initial full structure.
+fn assert_search_matches_engine(context: &str, model: &StateModel, formulas: &[Ctl]) {
+    let searched = check_invariants(&Kripke::reachable_from_state_model(model), formulas);
+    let full = default_initial_kripke(model);
+    let checker = ModelChecker::new(&full);
+    for (f, got) in formulas.iter().zip(&searched) {
+        assert_eq!(got, &checker.check(f), "{context}: search vs engine on {f}");
+    }
+}
+
+/// The search and the CTL engine return identical `CheckResult`s (verdict,
 /// violating-state count and counterexample) on the full applicable property
 /// sweep of every running example, every MalIoT app and every MalIoT group.
 #[test]
 fn engines_agree_on_the_corpus_property_sweeps() {
     let soteria = Soteria::new();
-    let mut sweeps: Vec<(String, Kripke, Vec<Ctl>)> = Vec::new();
+    let mut sweeps: Vec<(String, StateModel, Vec<Ctl>)> = Vec::new();
     for (name, source) in [
         ("Water-Leak-Detector", running::WATER_LEAK_DETECTOR),
         ("Smoke-Alarm", running::SMOKE_ALARM),
@@ -249,36 +224,32 @@ fn engines_agree_on_the_corpus_property_sweeps() {
         ("Buggy-Smoke-Alarm", running::BUGGY_SMOKE_ALARM),
     ] {
         let analysis = soteria.analyze_app(name, source).expect("running example parses");
-        let (kripke, formulas) = property_sweep(name, &[&analysis]);
-        sweeps.push((name.to_string(), kripke, formulas));
+        let (model, formulas) = property_sweep(name, &[&analysis]);
+        sweeps.push((name.to_string(), model, formulas));
     }
     let maliot = maliot_suite();
     let analyses = analyze_all(&soteria, &maliot);
     for analysis in &analyses {
-        let (kripke, formulas) = property_sweep(&analysis.ir.name, &[analysis]);
-        sweeps.push((analysis.ir.name.clone(), kripke, formulas));
+        let (model, formulas) = property_sweep(&analysis.ir.name, &[analysis]);
+        sweeps.push((analysis.ir.name.clone(), model, formulas));
     }
     for (group, members, _) in maliot_groups() {
         let members: Vec<&AppAnalysis> = members
             .iter()
             .map(|id| &analyses[maliot.iter().position(|a| a.id == *id).expect("member")])
             .collect();
-        let (kripke, formulas) = property_sweep(group, &members);
-        sweeps.push((group.to_string(), kripke, formulas));
+        let (model, formulas) = property_sweep(group, &members);
+        sweeps.push((group.to_string(), model, formulas));
     }
     assert_eq!(sweeps.len(), 4 + 17 + 3);
-    for (name, kripke, formulas) in &sweeps {
-        let results = ModelChecker::new(kripke).check_all(formulas);
-        let legacy = LegacyModelChecker::new(kripke).check_all(formulas);
-        for (i, f) in formulas.iter().enumerate() {
-            assert_eq!(results[i], legacy[i], "{name}: checker vs legacy on {f}");
-        }
+    for (name, model, formulas) in &sweeps {
+        assert_search_matches_engine(name, model, formulas);
     }
 }
 
 /// The property sweep of market G.3 with every TP21/TP22 edit variant the
 /// benchmark's update stream reaches (the two TP21 variants times the four TP22
-/// ones, the shipped sources included): the checker and the legacy oracle return
+/// ones, the shipped sources included): the search and the CTL engine return
 /// identical `CheckResult`s on every formula.
 #[test]
 fn g3_incremental_reverification_matches_scratch() {
@@ -301,13 +272,9 @@ fn g3_incremental_reverification_matches_scratch() {
         for tp22 in 0..4 {
             members[index_of("TP22")] = variant("TP22", tp22);
             let refs: Vec<&AppAnalysis> = members.iter().collect();
-            let (kripke, formulas) = property_sweep("G.3", &refs);
+            let (model, formulas) = property_sweep("G.3", &refs);
             assert!(!formulas.is_empty(), "G.3 has checkable properties");
-            let results = ModelChecker::new(&kripke).check_all(&formulas);
-            let legacy = LegacyModelChecker::new(&kripke).check_all(&formulas);
-            for (i, f) in formulas.iter().enumerate() {
-                assert_eq!(results[i], legacy[i], "TP21#{tp21}, TP22#{tp22}: {f}");
-            }
+            assert_search_matches_engine(&format!("TP21#{tp21}, TP22#{tp22}"), &model, &formulas);
         }
     }
 }

@@ -8,7 +8,7 @@ use soteria::default_initial_kripke;
 use soteria_analysis::{abstract_domains, AnalysisConfig, SymbolicExecutor};
 use soteria_bench::g3_variant_source;
 use soteria_capability::CapabilityRegistry;
-use soteria_checker::{Ctl, LegacyModelChecker, ModelChecker};
+use soteria_checker::{Ctl, ModelChecker};
 use soteria_corpus::{all_market_apps, maliot_suite, market_groups, running};
 use soteria_ir::AppIr;
 use soteria_model::legacy::{build_state_model_legacy, union_models_legacy};
@@ -49,8 +49,7 @@ fn assert_models_agree(context: &str, packed: &StateModel, legacy: &StateModel) 
 }
 
 /// Asserts the two models produce identical model-checking verdicts on a family of
-/// formulas drawn from the Kripke structure's own atom universe, and that the
-/// legacy checker agrees on the legacy model.
+/// formulas drawn from the Kripke structure's own atom universe.
 fn assert_verdicts_agree(context: &str, packed: &StateModel, legacy: &StateModel) {
     let pk = default_initial_kripke(packed);
     let lk = default_initial_kripke(legacy);
@@ -70,8 +69,6 @@ fn assert_verdicts_agree(context: &str, packed: &StateModel, legacy: &StateModel
         let p = ModelChecker::new(&pk).check(&formula);
         let l = ModelChecker::new(&lk).check(&formula);
         assert_eq!(p, l, "{context}: verdicts differ on {formula}");
-        let oracle = LegacyModelChecker::new(&lk).check(&formula);
-        assert_eq!(p, oracle, "{context}: legacy checker differs on {formula}");
     }
 }
 

@@ -1,10 +1,10 @@
 //! Property-based tests over the analysis pipeline: random benign apps built from the
 //! corpus templates must always produce deterministic, well-formed models, and the
-//! model checker must agree with the legacy oracle on every checked formula.
+//! invariant search must agree with the CTL engine on every checked invariant.
 
 use proptest::prelude::*;
 use soteria::{default_initial_kripke, Soteria};
-use soteria_checker::{Ctl, LegacyModelChecker, ModelChecker};
+use soteria_checker::{check_invariants, Ctl, Kripke, ModelChecker};
 use soteria_corpus::benign_templates;
 
 fn arbitrary_app() -> impl Strategy<Value = (usize, u32)> {
@@ -50,8 +50,9 @@ proptest! {
         prop_assert!(analysis.states_before_reduction >= model.state_count());
     }
 
-    /// The checker and the legacy oracle agree on a family of formulas over the
-    /// extracted Kripke structures.
+    /// The invariant search on the reachable fragment and the CTL engine on
+    /// the full structure agree on a family of invariants over the extracted
+    /// models.
     #[test]
     fn engines_agree_on_extracted_models((template_idx, seed) in arbitrary_app()) {
         let template = benign_templates()[template_idx];
@@ -59,20 +60,18 @@ proptest! {
         let analysis = Soteria::new().analyze_app("PropApp", &source).unwrap();
         let kripke = default_initial_kripke(&analysis.model);
         let checker = ModelChecker::new(&kripke);
-        let legacy = LegacyModelChecker::new(&kripke);
         let mut formulas = vec![
-            Ctl::atom("triggered").exists_finally(),
             Ctl::atom("triggered").not().always_globally(),
-            Ctl::Af(Box::new(Ctl::atom("triggered"))),
+            Ctl::atom("triggered").always_globally(),
         ];
         for atom in kripke.atoms.iter().take(6) {
-            formulas.push(Ctl::atom(atom.clone()).exists_finally());
             formulas.push(Ctl::atom(atom.clone()).always_globally());
+            formulas.push(Ctl::atom("triggered").implies(Ctl::atom(atom.clone())).always_globally());
         }
-        for formula in formulas {
-            let a = checker.check(&formula);
-            let b = legacy.check(&formula);
-            prop_assert_eq!(a, b, "checker and legacy disagree on {}", formula);
+        let fragment = Kripke::reachable_from_state_model(&analysis.model);
+        let searched = check_invariants(&fragment, &formulas);
+        for (formula, got) in formulas.iter().zip(searched) {
+            prop_assert_eq!(got, checker.check(formula), "search and engine disagree on {}", formula);
         }
     }
 

@@ -1,15 +1,19 @@
 //! The reachable Kripke fragment against the full structure.
 //!
 //! Production checks build only the part of a model's Kripke structure that the
-//! default initial state reaches (`Kripke::reachable_from_state_model`). The
-//! fragment must be the full structure's reachable part renumbered in ascending
-//! order, and every `ModelChecker` result on it, counterexample traces included,
-//! must equal the result on the full structure with the same initial state, as
-//! the independent reference builder (`kripke::reference`) builds it. This is
-//! checked for every applicable property formula on every corpus app and group,
-//! every G.3 TP21/TP22 edit variant and the reflection-free re-check models,
-//! and for random CTL formulas on random hand-built models. The model layer's source index, linear reachability and
-//! DOT rendering are checked against the quadratic definitions they replaced.
+//! default initial state reaches (`Kripke::reachable_from_state_model`) and
+//! search it with `check_invariants`. The fragment must be the full structure's
+//! reachable part renumbered in ascending order, and every `CheckResult` the
+//! search returns on it, counterexample traces included, must equal the CTL
+//! engine's (`ModelChecker`) on the full structure with the same initial state,
+//! as the independent reference builder (`kripke::reference`) builds it. This
+//! is the one gate between the production check and its oracle. It runs on
+//! every applicable property formula of every corpus app and group, every G.3
+//! TP21/TP22 edit variant and the reflection-free re-check models, and on
+//! random invariants over every atom of random hand-built models. Every
+//! formula the analyzer checks is pinned to the invariant shape the search
+//! accepts. The model layer's source index, linear reachability and DOT
+//! rendering are checked against the quadratic definitions they replaced.
 
 use proptest::prelude::*;
 use soteria::{IngestedApp, Soteria};
@@ -17,8 +21,10 @@ use soteria_analysis::{PathCondition, TransitionSpec};
 use soteria_bench::{g3_variant_source, G3_EDIT_TOGGLES};
 use soteria_capability::{AttributeValue, Event, EventKind};
 use soteria_checker::kripke::reference;
-use soteria_checker::{Ctl, Kripke, ModelChecker};
-use soteria_corpus::{all_market_apps, maliot_groups, maliot_suite, market_groups, CorpusApp};
+use soteria_checker::{check_invariants, Ctl, Kripke, ModelChecker};
+use soteria_corpus::{
+    all_market_apps, maliot_groups, maliot_suite, market_groups, running_apps, CorpusApp,
+};
 use soteria_model::{
     build_state_model, render_dot, union_models, BuildOptions, SourceIndex, StateId, StateModel,
     Transition, TransitionLabel, UnionOptions,
@@ -45,8 +51,9 @@ fn reachable_states(full: &Kripke) -> Vec<usize> {
 }
 
 /// Builds both structures, checks that the fragment is the full structure's
-/// reachable part in ascending order and that every formula gets the same
-/// `CheckResult` on both. Returns the fragment's state count.
+/// reachable part in ascending order and that the search on the fragment gives
+/// every formula the CTL engine's `CheckResult` on the full structure. Returns
+/// the fragment's state count.
 fn assert_fragment_agrees(context: &str, model: &StateModel, formulas: &[Ctl]) -> usize {
     let fragment = Kripke::reachable_from_state_model(model);
     let mut full = reference::from_state_model(model);
@@ -69,9 +76,9 @@ fn assert_fragment_agrees(context: &str, model: &StateModel, formulas: &[Ctl]) -
         expected.sort_unstable();
         assert_eq!(labels, expected, "{context}: labels of state {f}");
     }
-    let on_fragment = ModelChecker::new(&fragment).check_all(formulas);
+    let searched = check_invariants(&fragment, formulas);
     let on_full = ModelChecker::new(&full).check_all(formulas);
-    for ((f, got), want) in formulas.iter().zip(&on_fragment).zip(&on_full) {
+    for ((f, got), want) in formulas.iter().zip(&searched).zip(&on_full) {
         assert_eq!(got, want, "{context}: {f}");
     }
     fragment.state_count()
@@ -89,9 +96,8 @@ fn source_of<'a>(apps: &'a [CorpusApp], id: &str) -> &'a str {
     &apps.iter().find(|a| a.id == id).unwrap_or_else(|| panic!("{id} not in the corpus")).source
 }
 
-/// Every applicable, non-trivial P.1–P.30 formula over the members' devices:
-/// the formulas the analyzer checks.
-fn applicable_formulas(members: &[&IngestedApp]) -> Vec<Ctl> {
+/// The members' combined devices, as the property layer sees them.
+fn device_context(members: &[&IngestedApp]) -> DeviceContext {
     let under_test: Vec<AppUnderTest<'_>> = members
         .iter()
         .map(|a| AppUnderTest {
@@ -101,7 +107,13 @@ fn applicable_formulas(members: &[&IngestedApp]) -> Vec<Ctl> {
             summaries: &a.summaries,
         })
         .collect();
-    let ctx = DeviceContext::from_apps(&under_test);
+    DeviceContext::from_apps(&under_test)
+}
+
+/// Every applicable, non-trivial P.1–P.30 formula over the members' devices:
+/// the formulas the analyzer checks.
+fn applicable_formulas(members: &[&IngestedApp]) -> Vec<Ctl> {
+    let ctx = device_context(members);
     applicable_properties(&ctx)
         .into_iter()
         .filter_map(|id| formula(id, &ctx))
@@ -182,6 +194,57 @@ fn every_corpus_app_and_group_agrees_with_the_full_structure() {
     assert!(rechecks > 0, "some corpus model has a reflection-free re-check");
     // The sizes the reachability probe measured on the market groups.
     assert_eq!((sizes["G.1"], sizes["G.2"], sizes["G.3"]), (6, 75, 78));
+}
+
+/// True when `body` is built only from the constants, atoms and connectives
+/// `check_invariants` accepts.
+fn is_propositional(body: &Ctl) -> bool {
+    match body {
+        Ctl::True | Ctl::False | Ctl::Atom(_) => true,
+        Ctl::Not(f) => is_propositional(f),
+        Ctl::And(a, b) | Ctl::Or(a, b) | Ctl::Implies(a, b) => {
+            is_propositional(a) && is_propositional(b)
+        }
+        _ => false,
+    }
+}
+
+/// Every P.1–P.30 formula of every corpus app and group (the running
+/// examples, the market and MalIoT apps, G.1–G.3 and the MalIoT groups) is
+/// trivially true or an invariant, `AG` of a propositional body, so the
+/// analyzer's search never meets a shape it would have to refuse.
+#[test]
+fn every_checked_formula_is_an_invariant() {
+    let soteria = Soteria::new();
+    let apps = corpus();
+    let ingested: BTreeMap<&str, IngestedApp> = running_apps()
+        .into_iter()
+        .chain(apps.iter().map(|a| (a.id.as_str(), a.source.as_str())))
+        .map(|(id, source)| (id, ingest(&soteria, id, source)))
+        .collect();
+    assert_eq!(ingested.len(), 4 + 65 + 17);
+    let mut contexts: Vec<(String, DeviceContext)> =
+        ingested.iter().map(|(id, a)| (id.to_string(), device_context(&[a]))).collect();
+    let groups = market_groups()
+        .into_iter()
+        .map(|g| (g.id, g.members))
+        .chain(maliot_groups().into_iter().map(|(name, members, _)| (name, members)));
+    for (name, members) in groups {
+        let members: Vec<&IngestedApp> = members.iter().map(|id| &ingested[id]).collect();
+        contexts.push((name.to_string(), device_context(&members)));
+    }
+    assert_eq!(contexts.len(), 86 + 6);
+    for (name, ctx) in &contexts {
+        for id in applicable_properties(ctx) {
+            let f = formula(id, ctx).expect("an applicable property has a formula");
+            let invariant = match &f {
+                Ctl::True => true,
+                Ctl::Ag(body) => is_propositional(body),
+                _ => false,
+            };
+            assert!(invariant, "{name}: P.{id} is not an invariant: {f}");
+        }
+    }
 }
 
 /// Every TP21/TP22 toggle combination the benchmark's update stream reaches,
@@ -344,23 +407,22 @@ fn random_model(per_state: usize, rng: &mut Rng) -> StateModel {
     model
 }
 
-/// A random formula over `atoms` built from boolean connectives and the EX,
-/// AX, EF, AG, EU and EG operators.
-fn random_formula(depth: usize, atoms: &[String], rng: &mut Rng) -> Ctl {
+/// A random invariant body over `atoms`, built from the constants and every
+/// connective the search accepts.
+fn random_body(depth: usize, atoms: &[String], rng: &mut Rng) -> Ctl {
     if depth == 0 || rng.below(4) == 0 {
-        return Ctl::atom(atoms[rng.below(atoms.len())].clone());
+        return match rng.below(8) {
+            0 => Ctl::True,
+            1 => Ctl::False,
+            _ => Ctl::atom(atoms[rng.below(atoms.len())].clone()),
+        };
     }
-    let sub = |rng: &mut Rng| Box::new(random_formula(depth - 1, atoms, rng));
-    match rng.below(9) {
+    let sub = |rng: &mut Rng| Box::new(random_body(depth - 1, atoms, rng));
+    match rng.below(4) {
         0 => Ctl::Not(sub(rng)),
         1 => Ctl::And(sub(rng), sub(rng)),
-        2 => Ctl::Implies(sub(rng), sub(rng)),
-        3 => Ctl::Ex(sub(rng)),
-        4 => Ctl::Ax(sub(rng)),
-        5 => Ctl::Ef(sub(rng)),
-        6 => Ctl::Ag(sub(rng)),
-        7 => Ctl::Eu(sub(rng), sub(rng)),
-        _ => Ctl::Eg(sub(rng)),
+        2 => Ctl::Or(sub(rng), sub(rng)),
+        _ => Ctl::Implies(sub(rng), sub(rng)),
     }
 }
 
@@ -383,7 +445,8 @@ proptest! {
         // states included, and one that labels nothing.
         let mut atoms = reference::from_state_model(&model).atoms;
         atoms.push("event:never".to_string());
-        let formulas: Vec<Ctl> = (0..8).map(|_| random_formula(3, &atoms, &mut rng)).collect();
+        let formulas: Vec<Ctl> =
+            (0..8).map(|_| random_body(3, &atoms, &mut rng).always_globally()).collect();
         assert_fragment_agrees(&format!("seed {seed}, {per_state} per state"), &model, &formulas);
     }
 }

@@ -323,8 +323,8 @@ fn drop_settles_outstanding_tickets_as_cancelled() {
 }
 
 /// Abort polling is free of consequence: with a never-aborted `AbortHandle`
-/// installed, every poll site in the union lift and the checker's
-/// fixpoint loops pays the check and none fires, so the corpus' heaviest
+/// installed, every poll site in the union lift and the invariant
+/// search pays the check and none fires, so the corpus' heaviest
 /// analysis, market G.3, renders byte-identically to a run with no handle.
 #[test]
 fn never_aborted_handle_leaves_the_g3_environment_byte_identical() {
