@@ -24,21 +24,32 @@
 //! by [`Kripke::state_name`] only when a counterexample trace (or an export) asks
 //! for it, instead of eagerly for every state during construction.
 //!
-//! One builder makes every structure, and it never renders a label per
-//! transition: each transition's `(event label, app)` resolves to a small
-//! *label class* id once per label allocation, event states are keyed on a
-//! packed `(destination, class)` integer, label rows are written directly, and
-//! the CSR is emitted from per-model-state target groups read off a
-//! counting-sorted [`SourceIndex`]. It has two entry points, which number
-//! states in the same order: [`Kripke::reachable_from_state_model`], which
-//! every production check uses, builds what the quiescent state of
-//! `model.initial` reaches (market G.3 reaches 78 of its 46,944 Kripke
-//! states), and [`Kripke::from_state_model`] builds the full structure, what
-//! every quiescent state reaches. The full structure is struct-equal to the
-//! independent builder in [`reference`], which only tests call.
+//! No builder renders a label per transition: each transition's
+//! `(event label, app)` resolves to a small *label class* id once per label
+//! allocation, event states are keyed on a packed `(destination, class)`
+//! integer, and one shared half (`Discovered::emit`) ranks them, writes the
+//! label rows and emits the CSR from per-model-state target groups. Two
+//! discovery passes feed it, and every structure they make numbers states in
+//! the full structure's order:
+//!
+//! * the fragment builder reads groups off a counting-sorted [`SourceIndex`]
+//!   of a model's transition list. [`Kripke::reachable_from_state_model`]
+//!   builds what the quiescent state of `model.initial` reaches (market G.3
+//!   reaches 78 of its 46,944 Kripke states); per-app checks use it.
+//!   [`Kripke::from_state_model`] builds the full structure, what every
+//!   quiescent state reaches; it is struct-equal to the independent builder
+//!   in [`reference`], which only tests call;
+//! * the explorer, [`Kripke::reachable_from_union`], builds the fragment of a
+//!   union from its members' compiled edges ([`soteria_model::compile_union`])
+//!   without reading a lifted transition list; environment checks use it.
+//!   For G.3 it replaces counting-sorting and rescanning 154,368 lifted
+//!   transitions with a search over the members' 168 edges (0.06 ms against
+//!   0.80 ms, release, 2 cores).
 
 use crate::bitset::BitSet;
-use soteria_model::{SourceIndex, StateId, StateModel, TransitionLabel};
+use soteria_model::{
+    MemberEdges, SourceIndex, StateId, StateModel, StateSchema, TransitionLabel, UnionEdges,
+};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -235,6 +246,30 @@ impl Kripke {
         build(model, &index, &[model.initial], &reached)
     }
 
+    /// Builds [`Kripke::reachable_from_state_model`]'s structure of the union
+    /// that `union` and `edges` make ([`soteria_model::compile_union`])
+    /// without reading a lifted transition list: `union` may be lifted or
+    /// not, and only its schema and initial state are read. With unique
+    /// member names it explores the members' compiled edges from the initial
+    /// state through per-member indexes sorted by `base` and by destination,
+    /// so after sorting the edges its work is the fragment's states times the
+    /// member count and a binary search, plus the edges they fire. With
+    /// repeated names the lifted list is not a plain concatenation of edge
+    /// blocks, so it builds the fragment of the lifted union instead, lifting
+    /// it first if `union` holds no transitions.
+    pub fn reachable_from_union(union: &StateModel, edges: &UnionEdges) -> Kripke {
+        if !edges.unique_names() {
+            if !union.transitions.is_empty() {
+                return Kripke::reachable_from_state_model(union);
+            }
+            let mut lifted = union.clone();
+            lifted.transitions = edges.lift();
+            return Kripke::reachable_from_state_model(&lifted);
+        }
+        let _span = soteria_obs::span("kripke.build");
+        explore(union, edges)
+    }
+
     /// Always `None`: the caller falls back to a scratch build, because
     /// [`Kripke::from_state_model`] is faster than splicing one member's edit
     /// into `base`. Kept only for the benchmark's replay
@@ -287,7 +322,7 @@ impl Kripke {
     }
 }
 
-/// The one Kripke builder: the part of the full structure that the quiescent
+/// The fragment builder: the part of the full structure that the quiescent
 /// states of `roots` reach, with those states initial. `reached` marks the
 /// model states the roots reach and must hold every root.
 ///
@@ -300,42 +335,25 @@ impl Kripke {
 ///
 /// Union models share one `Arc<TransitionLabel>` per lifted block, so label
 /// classes resolve cheaply: market G.3's ~154k transitions carry under 200
-/// allocations. A class's atoms are interned when it labels its first state,
-/// which in rank order keeps atoms in first-occurrence order.
+/// allocations.
 fn build(model: &StateModel, index: &SourceIndex, roots: &[StateId], reached: &[bool]) -> Kripke {
     let q = model.state_count();
     assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
-    let mut kripke = Kripke::default();
-    let mut atom_lookup: HashMap<String, usize> = HashMap::new();
-    let attr_atoms = install_schema_atoms(&mut kripke, model, &mut atom_lookup);
-
-    // One target group per reached model state, holding event-state slots
-    // (indices into `event_keys`, in discovery order) until they are ranked.
-    let mut classes = LabelClasses::default();
-    let mut event_slot: EventStates = HashMap::default();
-    let mut event_keys: Vec<(StateId, u32)> = Vec::new();
+    let mut found = Discovered::new();
     let mut group_of = vec![0usize; q];
-    let mut group_offsets: Vec<u32> = vec![0];
-    let mut grouped: Vec<u32> = Vec::new();
     for ms in (0..q).filter(|&ms| reached[ms]) {
-        group_of[ms] = group_offsets.len() - 1;
+        group_of[ms] = found.group_offsets.len() - 1;
         for &t in index.outgoing(ms) {
             let t = &model.transitions[t as usize];
-            let class = classes.resolve(&t.label);
-            let next = event_keys.len() as u32;
-            let slot = *event_slot.entry(event_key(t.to, class)).or_insert_with(|| {
-                event_keys.push((t.to, class));
-                next
-            });
-            grouped.push(slot);
+            let class = found.classes.resolve(&t.label);
+            found.target(t.to, class);
         }
-        group_offsets.push(grouped.len() as u32);
+        found.close_group();
     }
 
-    // Rank the event states by first occurrence in the whole list, after the
-    // roots' quiescent states.
-    let mut first = vec![usize::MAX; event_keys.len()];
-    let mut unranked = event_keys.len();
+    // Rank the event states by first occurrence in the whole list.
+    let mut first = vec![u64::MAX; found.event_keys.len()];
+    let mut unranked = found.event_keys.len();
     for (i, t) in model.transitions.iter().enumerate() {
         if unranked == 0 {
             break;
@@ -343,60 +361,218 @@ fn build(model: &StateModel, index: &SourceIndex, roots: &[StateId], reached: &[
         if !reached[t.to] {
             continue;
         }
-        let class = classes.resolve(&t.label);
-        if let Some(&slot) = event_slot.get(&event_key(t.to, class)) {
-            if first[slot as usize] == usize::MAX {
-                first[slot as usize] = i;
+        let class = found.classes.resolve(&t.label);
+        if let Some(&slot) = found.slots.get(&event_key(t.to, class)) {
+            if first[slot as usize] == u64::MAX {
+                first[slot as usize] = i as u64;
                 unranked -= 1;
             }
         }
     }
-    let mut by_rank: Vec<u32> = (0..event_keys.len() as u32).collect();
-    by_rank.sort_unstable_by_key(|&slot| first[slot as usize]);
-    let mut rank = vec![0u32; event_keys.len()];
-    for (r, &slot) in (roots.len() as u32..).zip(&by_rank) {
-        rank[slot as usize] = r;
-    }
-    for target in &mut grouped {
-        *target = rank[*target as usize];
-    }
-    sort_dedup_groups(&mut group_offsets, &mut grouped);
+    found.emit(&model.schema, roots, &first, |ms| group_of[ms])
+}
 
-    let n = roots.len() + event_keys.len();
-    let model_state: Vec<StateId> = roots
+/// The explorer: the structure [`build`] makes of the lifted union's
+/// fragment, made from the union's compiled edges. Member names must be
+/// unique, so the lifted list is the plain concatenation of the edges'
+/// blocks.
+///
+/// A breadth-first search from `union.initial` fires edge `e` of member `m`
+/// from state `s` exactly when `s`'s digits on `m`'s constrained attributes
+/// are `e.base`'s, and visits successors in (member, edge) order. The first
+/// occurrence of an event state `(to, class)` in the lifted list is the block
+/// of the first edge, in (member, edge) order, of that class whose
+/// destinations include `to`, from any source, reached or not; within that
+/// block, free ranks ascend with `to`. So `(edge index, to)` ranks event
+/// states as the fragment builder's list index does.
+///
+/// Both lookups go through per-member sorted indexes of the edges, so a
+/// state costs a binary search per member plus the edges it fires, and an
+/// event state a binary search per member: the work is the fragment times
+/// the member count and the edges' log, not the fragment times the edges.
+fn explore(union: &StateModel, edges: &UnionEdges) -> Kripke {
+    let schema = &union.schema;
+    let q = schema.state_count();
+    assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
+    let members = edges.members();
+    // The constrained part of a state's id for one member: the `base` of the
+    // edges it fires, the `base + offset` of the edges that reach it.
+    let key = |member: &MemberEdges, digits: &[u8]| -> usize {
+        member.constrained.iter().map(|&a| digits[a as usize] as usize * schema.stride(a)).sum()
+    };
+    let mut found = Discovered::new();
+    // Per member, a slice of `fires` holds its edges as `(base, edge index,
+    // offset, class)` and one of `reaches` as `(class, base + offset, edge
+    // index)`, each ascending; edge indexes count across members in union
+    // order.
+    let total: usize = members.iter().map(|m| m.edges.len()).sum();
+    let mut fires: Vec<(usize, u32, isize, u32)> = Vec::with_capacity(total);
+    let mut reaches: Vec<(u32, usize, u32)> = Vec::with_capacity(total);
+    for (e, edge) in members.iter().flat_map(|m| &m.edges).enumerate() {
+        let class = found.classes.resolve(&edge.label);
+        fires.push((edge.base, e as u32, edge.offset, class));
+        reaches.push((class, (edge.base as isize + edge.offset) as usize, e as u32));
+    }
+    let mut spans = Vec::with_capacity(members.len());
+    let mut lo = 0;
+    for member in members {
+        let hi = lo + member.edges.len();
+        fires[lo..hi].sort_unstable();
+        reaches[lo..hi].sort_unstable();
+        spans.push(lo..hi);
+        lo = hi;
+    }
+
+    // Breadth-first, so a state's group is its position in the queue, and
+    // `group_of` holds that position plus one (0: not reached).
+    let mut group_of = vec![0u32; q];
+    let mut queue: Vec<StateId> = vec![union.initial];
+    group_of[union.initial] = 1;
+    let mut digits = vec![0u8; schema.attr_count()];
+    let mut head = 0;
+    while let Some(&s) = queue.get(head) {
+        head += 1;
+        schema.digits_of(s, &mut digits);
+        for (member, span) in members.iter().zip(&spans) {
+            let base = key(member, &digits);
+            let fires = &fires[span.clone()];
+            let first = fires.partition_point(|&(b, ..)| b < base);
+            for &(_, _, offset, class) in fires[first..].iter().take_while(|&&(b, ..)| b == base) {
+                let to = (s as isize + offset) as usize;
+                found.target(to, class);
+                if group_of[to] == 0 {
+                    queue.push(to);
+                    group_of[to] = queue.len() as u32;
+                }
+            }
+        }
+        found.close_group();
+    }
+
+    let rank: Vec<u64> = found
+        .event_keys
         .iter()
-        .copied()
-        .chain(by_rank.iter().map(|&slot| event_keys[slot as usize].0))
+        .map(|&(to, class)| {
+            schema.digits_of(to, &mut digits);
+            for (member, span) in members.iter().zip(&spans) {
+                let target = key(member, &digits);
+                let reaches = &reaches[span.clone()];
+                let first = reaches.partition_point(|&(c, t, _)| (c, t) < (class, target));
+                if let Some(&(c, t, e)) = reaches.get(first) {
+                    if (c, t) == (class, target) {
+                        return ((e as u64) << 32) | to as u64;
+                    }
+                }
+            }
+            unreachable!("the edge that discovered an event state reaches it")
+        })
         .collect();
-    let mut class_atoms: Vec<Option<[usize; 3]>> = vec![None; classes.classes.len()];
-    let mut rows = vec![BitSet::empty(n); kripke.atoms.len()];
-    kripke.incoming_event = vec![None; roots.len()];
-    for (s, &slot) in (roots.len()..).zip(&by_rank) {
-        let class = event_keys[slot as usize].1 as usize;
-        let atoms = *class_atoms[class].get_or_insert_with(|| {
-            let atoms = classes.classes[class].intern_atoms(&mut kripke.atoms, &mut atom_lookup);
-            rows.resize(kripke.atoms.len(), BitSet::empty(n));
-            atoms
+    found.emit(schema, &[union.initial], &rank, |ms| group_of[ms] as usize - 1)
+}
+
+/// What a discovery pass finds before ranking: the event states `(to,
+/// class)` in discovery order, and per reached model state its group of
+/// event-state slots. [`Discovered::emit`], the half both passes share,
+/// turns it into the structure.
+struct Discovered {
+    classes: LabelClasses,
+    slots: EventStates,
+    event_keys: Vec<(StateId, u32)>,
+    /// `grouped[group_offsets[g]..group_offsets[g + 1]]` is group `g`.
+    group_offsets: Vec<u32>,
+    grouped: Vec<u32>,
+}
+
+impl Discovered {
+    fn new() -> Discovered {
+        Discovered {
+            classes: LabelClasses::default(),
+            slots: EventStates::default(),
+            event_keys: Vec::new(),
+            group_offsets: vec![0],
+            grouped: Vec::new(),
+        }
+    }
+
+    /// Adds the event state `(to, class)` to the open group.
+    fn target(&mut self, to: StateId, class: u32) {
+        let next = self.event_keys.len() as u32;
+        let slot = *self.slots.entry(event_key(to, class)).or_insert_with(|| {
+            self.event_keys.push((to, class));
+            next
         });
-        for atom in atoms {
-            rows[atom].insert(s);
-        }
-        kripke.incoming_event.push(Some(classes.classes[class].event.clone()));
+        self.grouped.push(slot);
     }
-    let mut digits = vec![0u8; model.schema.attr_count()];
-    for (s, &ms) in model_state.iter().enumerate() {
-        model.schema.digits_of(ms, &mut digits);
-        for (atoms, &d) in attr_atoms.iter().zip(&digits) {
-            rows[atoms[d as usize]].insert(s);
-        }
+
+    /// Closes the open group: the next [`Discovered::target`] opens another.
+    fn close_group(&mut self) {
+        self.group_offsets.push(self.grouped.len() as u32);
     }
-    kripke.atom_rows = rows;
-    kripke.atom_lookup = atom_lookup;
-    kripke.initial = (0..roots.len()).collect();
-    let state_group: Vec<usize> = model_state.iter().map(|&ms| group_of[ms]).collect();
-    kripke.set_transitions_grouped(&state_group, &group_offsets, &grouped);
-    kripke.model_state = model_state;
-    kripke
+
+    /// Builds the structure: the roots' quiescent states first, then the
+    /// event states ascending by `rank` (one distinct key per slot), each
+    /// state stepping to the ranked event states of its model state's group
+    /// (`group_of`). A class's atoms are interned when it labels its first
+    /// state, which in rank order keeps atoms in first-occurrence order.
+    fn emit(
+        mut self,
+        schema: &StateSchema,
+        roots: &[StateId],
+        rank: &[u64],
+        group_of: impl Fn(StateId) -> usize,
+    ) -> Kripke {
+        let mut kripke = Kripke::default();
+        let mut atom_lookup: HashMap<String, usize> = HashMap::new();
+        let attr_atoms = install_schema_atoms(&mut kripke, schema, &mut atom_lookup);
+        let events = self.event_keys.len();
+        let mut by_rank: Vec<u32> = (0..events as u32).collect();
+        by_rank.sort_unstable_by_key(|&slot| rank[slot as usize]);
+        let mut id = vec![0u32; events];
+        for (r, &slot) in (roots.len() as u32..).zip(&by_rank) {
+            id[slot as usize] = r;
+        }
+        for target in &mut self.grouped {
+            *target = id[*target as usize];
+        }
+        sort_dedup_groups(&mut self.group_offsets, &mut self.grouped);
+
+        let n = roots.len() + events;
+        let model_state: Vec<StateId> = roots
+            .iter()
+            .copied()
+            .chain(by_rank.iter().map(|&slot| self.event_keys[slot as usize].0))
+            .collect();
+        let classes = &self.classes.classes;
+        let mut class_atoms: Vec<Option<[usize; 3]>> = vec![None; classes.len()];
+        let mut rows = vec![BitSet::empty(n); kripke.atoms.len()];
+        kripke.incoming_event = vec![None; roots.len()];
+        for (s, &slot) in (roots.len()..).zip(&by_rank) {
+            let class = self.event_keys[slot as usize].1 as usize;
+            let atoms = *class_atoms[class].get_or_insert_with(|| {
+                let atoms = classes[class].intern_atoms(&mut kripke.atoms, &mut atom_lookup);
+                rows.resize(kripke.atoms.len(), BitSet::empty(n));
+                atoms
+            });
+            for atom in atoms {
+                rows[atom].insert(s);
+            }
+            kripke.incoming_event.push(Some(classes[class].event.clone()));
+        }
+        let mut digits = vec![0u8; schema.attr_count()];
+        for (s, &ms) in model_state.iter().enumerate() {
+            schema.digits_of(ms, &mut digits);
+            for (atoms, &d) in attr_atoms.iter().zip(&digits) {
+                rows[atoms[d as usize]].insert(s);
+            }
+        }
+        kripke.atom_rows = rows;
+        kripke.atom_lookup = atom_lookup;
+        kripke.initial = (0..roots.len()).collect();
+        let state_group: Vec<usize> = model_state.iter().map(|&ms| group_of(ms)).collect();
+        kripke.set_transitions_grouped(&state_group, &self.group_offsets, &self.grouped);
+        kripke.model_state = model_state;
+        kripke
+    }
 }
 
 /// Interns one atom name, returning its stable index.
@@ -550,10 +726,9 @@ impl Hasher for PackedKeyHasher {
 /// Returns the atom ids per `(attribute, value digit)` pair.
 fn install_schema_atoms(
     kripke: &mut Kripke,
-    model: &StateModel,
+    schema: &StateSchema,
     atom_lookup: &mut HashMap<String, usize>,
 ) -> Vec<Vec<usize>> {
-    let schema = &model.schema;
     let mut attr_atoms: Vec<Vec<usize>> = Vec::with_capacity(schema.attr_count());
     for a in 0..schema.attr_count() {
         let attr = a as soteria_model::AttrId;

@@ -24,7 +24,7 @@ pub fn from_state_model(model: &StateModel) -> Kripke {
     let mut kripke = Kripke::default();
     let schema = &model.schema;
     let mut atom_lookup: HashMap<String, usize> = HashMap::new();
-    let attr_atoms = install_schema_atoms(&mut kripke, model, &mut atom_lookup);
+    let attr_atoms = install_schema_atoms(&mut kripke, &model.schema, &mut atom_lookup);
 
     // Per-state atom-index lists, turned into bitset rows by `set_labels` once
     // the state universe is complete.

@@ -13,7 +13,8 @@
 //!   index arithmetic;
 //! * [`build_state_model`] — construction from the analysis crate's transition
 //!   specifications and property abstraction;
-//! * [`union_models`] — Algorithm 2, the multi-app union model;
+//! * [`union_models`] — Algorithm 2, the multi-app union model, and its compile
+//!   step [`compile_union`], whose edges the checker explores without lifting;
 //! * [`render_dot`] — GraphViz output equivalent to the paper's Fig. 9 visualisation.
 //!
 //! # The packed fast path
@@ -59,4 +60,7 @@ pub use schema::{AttrId, PackedState, StateSchema, ValueId};
 pub use state::{label_fragment, AttrKey, State};
 #[doc(hidden)]
 pub use union::union_models_delta;
-pub use union::{union_models, UnionOptions};
+pub use union::{
+    compile_union, union_models, union_models_with_edges, CompiledEdge, MemberEdges, UnionEdges,
+    UnionOptions,
+};

@@ -1,7 +1,7 @@
 //! The finite state model `(Q, Σ, δ)` extracted from an app (Sec. 4.2).
 
-use crate::schema::StateSchema;
-use crate::state::{AttrKey, State};
+use crate::schema::{AttrId, StateSchema};
+use crate::state::{label_fragment, AttrKey, State};
 use soteria_analysis::PathCondition;
 use soteria_capability::{AttributeValue, Event};
 use std::collections::{BTreeMap, HashMap};
@@ -245,29 +245,86 @@ impl StateModel {
         (0..mask.len()).filter(|&s| mask[s]).collect()
     }
 
+    /// Formats state labels ([`State::label`]) from packed state ids, without
+    /// materialising the map view: each `(attribute, value)` fragment is
+    /// formatted once, when the labeler is made.
+    pub fn state_labeler(&self) -> impl Fn(StateId) -> String + '_ {
+        let schema = &self.schema;
+        let fragments: Vec<Vec<String>> = schema
+            .keys()
+            .iter()
+            .enumerate()
+            .map(|(a, (handle, attribute))| {
+                let domain = schema.domain(a as AttrId);
+                domain.iter().map(|v| label_fragment(handle, attribute, v)).collect()
+            })
+            .collect();
+        move |id| {
+            let parts: Vec<&str> = fragments
+                .iter()
+                .enumerate()
+                .map(|(a, f)| f[schema.digit_of(id, a as AttrId) as usize].as_str())
+                .collect();
+            format!("[{}]", parts.join(", "))
+        }
+    }
+
     /// Detects nondeterminism: a state with two feasible transitions on the same event
     /// (with jointly satisfiable conditions) that lead to different states.
+    ///
+    /// Witnesses come in order of source state, then `handle:kind` event key
+    /// (as strings), then transition-list order of the pair. Each label
+    /// allocation's key is formatted once, and the joint feasibility of two
+    /// conditions is decided once per pair of label allocations: the builder
+    /// shares one label per spec across every state.
     pub fn nondeterminism(&self) -> Vec<Nondeterminism> {
         let mut found = Vec::new();
-        let mut by_state_event: BTreeMap<(StateId, String), Vec<&Transition>> = BTreeMap::new();
-        for t in &self.transitions {
-            by_state_event
-                .entry((t.from, format!("{}:{}", t.label.event.handle, t.label.event.kind)))
-                .or_default()
-                .push(t);
+        // Each label allocation's key, as an index into the distinct keys.
+        let mut key_of: HashMap<*const TransitionLabel, usize> = HashMap::new();
+        let mut key_index: HashMap<String, usize> = HashMap::new();
+        let keys: Vec<usize> = self
+            .transitions
+            .iter()
+            .map(|t| {
+                *key_of.entry(Arc::as_ptr(&t.label)).or_insert_with(|| {
+                    let key = format!("{}:{}", t.label.event.handle, t.label.event.kind);
+                    let next = key_index.len();
+                    *key_index.entry(key).or_insert(next)
+                })
+            })
+            .collect();
+        // Rank the distinct keys as strings, so groups come in the order of a
+        // map keyed by `(state, key string)`.
+        let mut sorted: Vec<(&String, usize)> = key_index.iter().map(|(k, &i)| (k, i)).collect();
+        sorted.sort_unstable();
+        let mut rank = vec![0usize; sorted.len()];
+        for (r, (_, i)) in sorted.into_iter().enumerate() {
+            rank[i] = r;
         }
-        for ((state, _), transitions) in by_state_event {
-            for (i, a) in transitions.iter().enumerate() {
-                for b in transitions.iter().skip(i + 1) {
+        // A stable sort keeps list order within each `(state, key)` group.
+        let mut order: Vec<usize> = (0..self.transitions.len()).collect();
+        order.sort_by_key(|&i| (self.transitions[i].from, rank[keys[i]]));
+        let mut feasible: HashMap<(*const TransitionLabel, *const TransitionLabel), bool> =
+            HashMap::new();
+        for group in order.chunk_by(|&i, &j| {
+            (self.transitions[i].from, keys[i]) == (self.transitions[j].from, keys[j])
+        }) {
+            for (n, &i) in group.iter().enumerate() {
+                let a = &self.transitions[i];
+                for &j in &group[n + 1..] {
+                    let b = &self.transitions[j];
                     if a.to == b.to {
                         continue;
                     }
                     // Conditions that can hold simultaneously make the choice of
                     // successor nondeterministic.
-                    let joint = a.label.condition.and_all(&b.label.condition.atoms);
-                    if joint.is_feasible() {
+                    let pair = (Arc::as_ptr(&a.label), Arc::as_ptr(&b.label));
+                    let joint = *feasible.entry(pair).or_insert_with(|| {
+                        a.label.condition.and_all(&b.label.condition.atoms).is_feasible()
+                    });
+                    if joint {
                         found.push(Nondeterminism {
-                            state,
+                            state: a.from,
                             event: a.label.event.clone(),
                             targets: (a.to, b.to),
                         });

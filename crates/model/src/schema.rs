@@ -66,10 +66,10 @@ impl StateSchema {
     ///
     /// # Panics
     ///
-    /// Panics if more than `u16::MAX` attributes or a domain with more than
-    /// `u8::MAX + 1` values is supplied, or if the product of the domain sizes
-    /// does not fit a `usize` state id; property abstraction keeps real
-    /// domains far below all three bounds.
+    /// Panics if more than `u16::MAX + 1` attributes (one per `u16` id) or a
+    /// domain with more than `u8::MAX` values is supplied, or if the product
+    /// of the domain sizes does not fit a `usize` state id; property
+    /// abstraction keeps real domains far below all three bounds.
     pub fn new(attributes: &BTreeMap<AttrKey, Vec<AttributeValue>>) -> Self {
         let mut schema = StateSchema::default();
         for (key, domain) in attributes {

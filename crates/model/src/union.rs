@@ -6,6 +6,19 @@
 //! attribute domains (duplicate devices deduplicated), and every app transition
 //! `v --l--> u` is added between all union states containing `v` and the corresponding
 //! updates to `u`, labelled with the contributing app.
+//!
+//! The construction has two steps. [`compile_union`] merges the attributes,
+//! interns the union schema and compiles every member transition to an edge
+//! `(base, offset, label)`: the member's digits of the source, the id
+//! distance to the destination, and the member-labelled label. Each member
+//! keeps its distinct edges and the ascending offsets of its free sub-product
+//! (the union attributes it does not constrain). [`UnionEdges::lift`] then
+//! emits every edge's block, `base + f → base + f + offset` for each free
+//! offset `f`, into one allocation. [`union_models`] is the two steps in a
+//! row. The checker explores the compiled edges directly
+//! (`soteria_checker::Kripke::reachable_from_union`), so an environment check
+//! reads no lifted transition; the lifted list is built only for the
+//! `union_model` that environment results carry.
 
 use crate::builder::LabelInterner;
 use crate::model::{StateModel, Transition, TransitionLabel};
@@ -13,6 +26,7 @@ use crate::schema::{AttrId, StateSchema, ValueId};
 use crate::state::AttrKey;
 use soteria_capability::AttributeValue;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Options for the union construction.
 #[derive(Debug, Clone)]
@@ -49,35 +63,130 @@ fn advance_digits(digits: &mut [u8], radices: &[u8]) -> bool {
 
 /// Builds the union state model of several apps (Algorithm 2).
 ///
-/// The construction runs entirely on the packed schema: a lifted transition fixes
-/// the digits of the contributing app's attributes (the paper's "union states that
-/// contain v") and enumerates only the remaining free attributes' sub-product; the
-/// destination is `from + offset` for a per-edge constant offset. The seed scanned
-/// every union state per edge.
+/// The construction runs entirely on the packed schema, in two steps:
+/// [`compile_union`] compiles each member's transitions to edges, and
+/// [`UnionEdges::lift`] emits every edge's block of transitions. A lifted
+/// transition fixes the digits of the contributing app's attributes (the
+/// paper's "union states that contain v") and enumerates only the remaining
+/// free attributes' sub-product; the destination is `from + offset` for a
+/// per-edge constant offset. The seed scanned every union state per edge.
 pub fn union_models(name: &str, models: &[&StateModel], options: &UnionOptions) -> StateModel {
-    let _span = soteria_obs::span("union.build");
-    let attributes = merged_attributes(models, options);
-    let mut union = StateModel::with_attributes(name, attributes);
-    let uschema = &union.schema;
-    let mut interner = LabelInterner::default();
-    // Dedup classes embed the contributing app's name, so lifts of differently
-    // named members never collide: the per-transition set only has work to do
-    // when the same name appears twice in the union.
-    let mut seen: Option<HashSet<(usize, usize, usize)>> =
-        (!unique_names(models)).then(HashSet::new);
-    let mut lifted: Vec<Transition> = Vec::new();
-    // In-stage abort (`soteria_exec::current_abort`): polled once per compiled
-    // edge — each edge enumerates the whole free sub-product, so a G.3-scale
-    // lift observes an abort within one edge's block rather than finishing a
-    // 47k-state union nobody wants. `None` on non-service paths: a dead branch.
-    let abort = soteria_exec::current_abort();
+    union_models_with_edges(name, models, options).0
+}
 
-    // Lines 2–12: iterate over every app's transitions and lift them to the union.
-    for model in models {
-        lift_model(model, uschema, &mut interner, seen.as_mut(), &mut lifted, &abort);
+/// [`union_models`]' result together with the compiled edges it was lifted
+/// from, for callers that both report the union and explore its edges.
+pub fn union_models_with_edges(
+    name: &str,
+    models: &[&StateModel],
+    options: &UnionOptions,
+) -> (StateModel, UnionEdges) {
+    let _span = soteria_obs::span("union.build");
+    let (mut union, edges) = compile_union(name, models, options);
+    union.transitions = edges.lift();
+    (union, edges)
+}
+
+/// The compile step of [`union_models`]: the union model without its
+/// transitions (name, merged attributes, schema, default initial state) and
+/// every member's compiled edges. Lifting the edges
+/// (`union.transitions = edges.lift()`) gives [`union_models`]' result.
+pub fn compile_union(
+    name: &str,
+    models: &[&StateModel],
+    options: &UnionOptions,
+) -> (StateModel, UnionEdges) {
+    // Line 1: the combined attribute domains.
+    let union = StateModel::with_attributes(name, merged_attributes(models, options));
+    let mut interner = LabelInterner::default();
+    // Lines 2–12, compiled: every app transition becomes an edge of its app.
+    let members =
+        models.iter().map(|m| compile_member(m, &union.schema, &mut interner)).collect();
+    (union, UnionEdges { members, unique_names: unique_names(models) })
+}
+
+/// The compiled members of a union, in member order ([`compile_union`]).
+#[derive(Debug, Clone)]
+pub struct UnionEdges {
+    members: Vec<MemberEdges>,
+    unique_names: bool,
+}
+
+/// One member's share of a compiled union.
+#[derive(Debug, Clone)]
+pub struct MemberEdges {
+    /// The union attributes the member constrains, ascending.
+    pub constrained: Vec<AttrId>,
+    /// Offsets from an edge's `base` of the states of the free sub-product
+    /// (the union attributes the member does not constrain), ascending.
+    free_offsets: Vec<usize>,
+    /// The member's distinct edges, in the order its transitions first
+    /// compile to them.
+    pub edges: Vec<CompiledEdge>,
+}
+
+/// One compiled member transition: it lifts to the transitions
+/// `base + f → base + f + offset` for every free offset `f`, in ascending
+/// order, all sharing `label`.
+#[derive(Debug, Clone)]
+pub struct CompiledEdge {
+    /// The member's constrained digits of the source, every free digit 0.
+    pub base: usize,
+    /// Destination id minus source id.
+    pub offset: isize,
+    /// The label of every transition the edge lifts to (app set to the member).
+    pub label: Arc<TransitionLabel>,
+    /// Dedup class of the label's `(event, condition, app, handler)`.
+    class: usize,
+}
+
+impl UnionEdges {
+    /// The members, in union order.
+    pub fn members(&self) -> &[MemberEdges] {
+        &self.members
     }
-    union.transitions = lifted;
-    union
+
+    /// True when no two members share a name. Only then is the lifted list
+    /// the plain concatenation of every edge's block: lifts of same-named
+    /// members are deduplicated against each other transition by transition.
+    pub fn unique_names(&self) -> bool {
+        self.unique_names
+    }
+
+    /// The lift step of [`union_models`]: every edge's block, member-major,
+    /// then edge, then free offset. With unique names the list holds
+    /// exactly `Σ edges × free sub-product` transitions and is allocated at
+    /// that size.
+    pub fn lift(&self) -> Vec<Transition> {
+        let capacity = self.members.iter().map(|m| m.edges.len() * m.free_offsets.len()).sum();
+        let mut lifted: Vec<Transition> = Vec::with_capacity(capacity);
+        // Dedup classes embed the contributing app's name, so lifts of
+        // differently named members never collide: the per-transition set only
+        // has work to do when the same name appears twice in the union.
+        let mut seen: Option<HashSet<(usize, usize, usize)>> =
+            (!self.unique_names).then(HashSet::new);
+        // In-stage abort (`soteria_exec::current_abort`): polled once per
+        // edge — each edge enumerates the whole free sub-product, so a
+        // G.3-scale lift observes an abort within one edge's block rather than
+        // finishing a 47k-state union nobody wants. `None` on non-service
+        // paths: a dead branch.
+        let abort = soteria_exec::current_abort();
+        for member in &self.members {
+            for edge in &member.edges {
+                if let Some(abort) = &abort {
+                    abort.bail_if_aborted();
+                }
+                for &free_offset in &member.free_offsets {
+                    let from = edge.base + free_offset;
+                    let to = (from as isize + edge.offset) as usize;
+                    if seen.as_mut().is_none_or(|seen| seen.insert((from, to, edge.class))) {
+                        lifted.push(Transition { from, to, label: edge.label.clone() });
+                    }
+                }
+            }
+        }
+        lifted
+    }
 }
 
 /// Line 1 of Algorithm 2: the union's combined attribute domains. Attributes of
@@ -116,26 +225,20 @@ fn unique_names(models: &[&StateModel]) -> bool {
     names.windows(2).all(|w| w[0] != w[1])
 }
 
-/// Lifts one member model's transitions into the union schema, appending its
-/// block to `lifted` in the canonical enumeration order (transition-major, free
-/// sub-product minor).
+/// Compiles one member model's transitions against the union schema.
 ///
 /// Each transition compiles to an edge `(base, offset, class)`: `base` fixes
 /// the member's constrained digits, the free sub-product adds
-/// `Σ free_digit · stride`, and the destination is `offset` away. Deduplicating
-/// per compiled edge is exact within a member: edges with different `base`s
-/// never share a `from`, edges with the same `base` and different `offset`s
-/// never share a `(from, to)`, and equal edges emit identical blocks. `seen`
-/// (present only when member names repeat) filters individual transitions
-/// against same-named members, whose constrained attributes may differ.
-fn lift_model(
+/// `Σ free_digit · stride`, and the destination is `offset` away. Keeping one
+/// edge per distinct triple is exact within a member: edges with different
+/// `base`s never share a `from`, edges with the same `base` and different
+/// `offset`s never share a `(from, to)`, and equal edges lift to identical
+/// blocks.
+fn compile_member(
     model: &StateModel,
     uschema: &StateSchema,
     interner: &mut LabelInterner,
-    mut seen: Option<&mut HashSet<(usize, usize, usize)>>,
-    lifted: &mut Vec<Transition>,
-    abort: &Option<soteria_exec::AbortHandle>,
-) {
+) -> MemberEdges {
     let aschema = &model.schema;
     // App attribute -> union attribute (None when pruned from the union), and app
     // value digit -> union value digit (union domains are supersets, so mapped
@@ -157,9 +260,12 @@ fn lift_model(
     // Offsets from `base` of every union state in the free sub-product (union
     // attributes this app does not constrain), in ascending id order: an
     // odometer over the free positions, walked once per member.
-    let constrained: HashSet<AttrId> = attr_map.iter().filter_map(|u| *u).collect();
-    let free: Vec<AttrId> =
-        (0..uschema.attr_count() as AttrId).filter(|u| !constrained.contains(u)).collect();
+    let mut is_constrained = vec![false; uschema.attr_count()];
+    for &u in attr_map.iter().flatten() {
+        is_constrained[u as usize] = true;
+    }
+    let (constrained, free): (Vec<AttrId>, Vec<AttrId>) =
+        (0..uschema.attr_count() as AttrId).partition(|&u| is_constrained[u as usize]);
     let radices: Vec<u8> = free.iter().map(|u| uschema.domain(*u).len() as u8).collect();
     let strides: Vec<usize> = free.iter().map(|u| uschema.stride(*u)).collect();
     let mut free_offsets: Vec<usize> = Vec::new();
@@ -173,11 +279,12 @@ fn lift_model(
 
     let mut from_digits = vec![0u8; aschema.attr_count()];
     let mut to_digits = vec![0u8; aschema.attr_count()];
-    // Most transitions of a model share a label; resolving the class once per
-    // distinct label (keyed by reference, no clones) keeps the interner off the
-    // per-edge path.
-    let mut label_class: HashMap<&TransitionLabel, usize> = HashMap::new();
+    // Most transitions of a model share a label allocation (the builder
+    // shares one per spec): resolving the class once per allocation keeps the
+    // interner off the per-transition path.
+    let mut label_class: HashMap<*const TransitionLabel, usize> = HashMap::new();
     let mut compiled: HashSet<(usize, isize, usize)> = HashSet::new();
+    let mut edges: Vec<CompiledEdge> = Vec::new();
     for t in &model.transitions {
         aschema.digits_of(t.from, &mut from_digits);
         aschema.digits_of(t.to, &mut to_digits);
@@ -196,35 +303,25 @@ fn lift_model(
                 offset += (ud as isize - vd as isize) * stride as isize;
             }
         }
-        let class = *label_class.entry(&t.label).or_insert_with(|| {
-            interner.class_of(&t.label.event, &t.label.condition, &model.name, &t.label.handler)
+        let l = &t.label;
+        let class = *label_class.entry(Arc::as_ptr(l)).or_insert_with(|| {
+            interner.class_of(&l.event, &l.condition, &model.name, &l.handler)
         });
         // An equal edge (say, from a transition that differs only in an
-        // attribute pruned from the union) already emitted this exact block.
-        if !compiled.insert((base, offset, class)) {
-            continue;
-        }
-        if let Some(abort) = abort {
-            abort.bail_if_aborted();
-        }
-        let label = std::sync::Arc::new(TransitionLabel {
-            event: t.label.event.clone(),
-            condition: t.label.condition.clone(),
-            app: model.name.clone(),
-            handler: t.label.handler.clone(),
-            via_reflection: t.label.via_reflection,
-        });
-        lifted.reserve(free_offsets.len());
-        for &free_offset in &free_offsets {
-            let from = base + free_offset;
-            let to = (from as isize + offset) as usize;
-            if seen.as_mut().is_none_or(|seen| seen.insert((from, to, class))) {
-                lifted.push(Transition { from, to, label: label.clone() });
-            }
+        // attribute pruned from the union) already lifts this exact block.
+        if compiled.insert((base, offset, class)) {
+            let label = Arc::new(TransitionLabel {
+                event: l.event.clone(),
+                condition: l.condition.clone(),
+                app: model.name.clone(),
+                handler: l.handler.clone(),
+                via_reflection: l.via_reflection,
+            });
+            edges.push(CompiledEdge { base, offset, label, class });
         }
     }
+    MemberEdges { constrained, free_offsets, edges }
 }
-
 /// Always answers an in-range edit with a scratch [`union_models`] over
 /// `members`, named after `base`. Kept only because the benchmark harness's
 /// replay still calls it.

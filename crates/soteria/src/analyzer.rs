@@ -9,7 +9,10 @@ use soteria_capability::CapabilityRegistry;
 use soteria_checker::{check_invariants, Ctl, Engine, Kripke, ModelChecker, SatSnapshot};
 use soteria_ir::AppIr;
 use soteria_lang::ParseError;
-use soteria_model::{build_state_model, union_models, BuildOptions, StateModel, UnionOptions};
+use soteria_model::{
+    build_state_model, compile_union, union_models, union_models_with_edges, BuildOptions,
+    StateModel, UnionOptions,
+};
 use soteria_properties::{
     applicable_properties, check_general, formula, property_info, AppUnderTest, DeviceContext,
     PropertyId, Violation,
@@ -204,7 +207,9 @@ impl Soteria {
         let started = Instant::now();
         let models: Vec<&StateModel> = apps.iter().map(|a| &a.model).collect();
         let union_options = UnionOptions::default();
-        let union_model = union_models(group_name, &models, &union_options);
+        // The union is compiled once: its lift is the report's union model, and
+        // the check explores its compiled edges.
+        let (union_model, edges) = union_models_with_edges(group_name, &models, &union_options);
         let union_time = started.elapsed();
 
         let verification_started = Instant::now();
@@ -230,8 +235,12 @@ impl Soteria {
         // The union model uses the abstractions already baked into the per-app models;
         // an aggregate abstraction is only needed for FP re-checking, so reuse the
         // first app's (values outside any domain collapse to `other`).
-        let specific =
-            self.check_specific_on_model(&union_model, &ctx, &app_names, &all_specs, |kept| {
+        let specific = self.check_specific(
+            || Kripke::reachable_from_union(&union_model, &edges),
+            &ctx,
+            &app_names,
+            &all_specs,
+            |kept| {
                 let filtered_models: Vec<StateModel> = apps
                     .iter()
                     .enumerate()
@@ -252,8 +261,13 @@ impl Soteria {
                     })
                     .collect();
                 let refs: Vec<&StateModel> = filtered_models.iter().collect();
-                union_models(group_name, &refs, &union_options)
-            });
+                let (union, edges) = {
+                    let _span = soteria_obs::span("union.build");
+                    compile_union(group_name, &refs, &union_options)
+                };
+                Kripke::reachable_from_union(&union, &edges)
+            },
+        );
         violations.extend(specific);
         // Individual-app violations are reported by individual analysis; keep only the
         // findings that need the environment (multiple apps involved or not present in
@@ -369,8 +383,12 @@ impl Soteria {
 
     /// Nondeterministic state models are reported as a safety violation (Sec. 4.2).
     fn determinism_violations(&self, model: &StateModel, apps: &[String]) -> Vec<Violation> {
-        model
-            .nondeterminism()
+        let found = model.nondeterminism();
+        if found.is_empty() {
+            return Vec::new();
+        }
+        let label = model.state_labeler();
+        found
             .into_iter()
             .map(|nd| {
                 Violation::new(
@@ -378,9 +396,9 @@ impl Soteria {
                     format!(
                         "nondeterministic model: event {} from state {} may reach both {} and {}",
                         nd.event.kind,
-                        model.state(nd.state).label(),
-                        model.state(nd.targets.0).label(),
-                        model.state(nd.targets.1).label()
+                        label(nd.state),
+                        label(nd.targets.0),
+                        label(nd.targets.1)
                     ),
                     apps.to_vec(),
                 )
@@ -397,38 +415,52 @@ impl Soteria {
         ctx: &DeviceContext,
         apps: &[String],
     ) -> Vec<Violation> {
-        self.check_specific_on_model(model, ctx, apps, specs, |kept| {
-            let kept_owned: Vec<TransitionSpec> =
-                kept.iter().map(|&i| specs[i].clone()).collect();
-            build_state_model(&model.name, abstraction, &kept_owned, &BuildOptions::default())
-        })
+        // `build_state_model`'s transitions are state-major, not edge-major, so
+        // per-app checks build the fragment from the model's transition list.
+        self.check_specific(
+            || Kripke::reachable_from_state_model(model),
+            ctx,
+            apps,
+            specs,
+            |kept| {
+                let kept_owned: Vec<TransitionSpec> =
+                    kept.iter().map(|&i| specs[i].clone()).collect();
+                Kripke::reachable_from_state_model(&build_state_model(
+                    &model.name,
+                    abstraction,
+                    &kept_owned,
+                    &BuildOptions::default(),
+                ))
+            },
+        )
     }
 
-    /// Shared logic for checking P.1–P.30 on a model. `rebuild_without_reflection`
-    /// receives the (ascending) indices into `specs` of the specs to keep and
-    /// rebuilds the model from them, so that violations that disappear without the
-    /// reflection over-approximation can be marked as possible false positives (the
-    /// MalIoT App5 case).
+    /// Shared logic for checking P.1–P.30 on a model. `fragment` builds the
+    /// Kripke fragment the model's default initial state reaches.
+    /// `rebuild_without_reflection` receives the (ascending) indices into
+    /// `specs` of the specs to keep and builds that fragment of the model
+    /// rebuilt from them, so that violations that disappear without the
+    /// reflection over-approximation can be marked as possible false positives
+    /// (the MalIoT App5 case).
     ///
     /// Every checkable formula is an invariant, `AG` of a propositional body,
     /// so the applicable formulas are checked as one batch by one forward
     /// search ([`check_invariants`]), and so are the failing formulas on the
-    /// reflection-free model. Both searches run on the Kripke fragment the
-    /// model's default initial state reaches, which gives the full
-    /// structure's verdicts and counterexamples.
-    fn check_specific_on_model(
+    /// reflection-free fragment. The fragment gives the full structure's
+    /// verdicts and counterexamples.
+    fn check_specific(
         &self,
-        model: &StateModel,
+        fragment: impl FnOnce() -> Kripke,
         ctx: &DeviceContext,
         apps: &[String],
         specs: &[TransitionSpec],
-        rebuild_without_reflection: impl Fn(&[usize]) -> StateModel,
+        rebuild_without_reflection: impl FnOnce(&[usize]) -> Kripke,
     ) -> Vec<Violation> {
         let (ids, formulas): (Vec<u8>, Vec<Ctl>) = checkable_formulas(ctx).into_iter().unzip();
         if formulas.is_empty() {
             return Vec::new();
         }
-        let kripke = Kripke::reachable_from_state_model(model);
+        let kripke = fragment();
         let results = {
             let _s = soteria_obs::span("check.batch");
             check_invariants(&kripke, &formulas)
@@ -444,8 +476,7 @@ impl Soteria {
         let holds_without_reflection: Vec<bool> = if specs.iter().any(|s| s.via_reflection) {
             let kept: Vec<usize> =
                 (0..specs.len()).filter(|&i| !specs[i].via_reflection).collect();
-            let m = rebuild_without_reflection(&kept);
-            let k = Kripke::reachable_from_state_model(&m);
+            let k = rebuild_without_reflection(&kept);
             let failing_formulas: Vec<Ctl> =
                 failing.iter().map(|&i| formulas[i].clone()).collect();
             check_invariants(&k, &failing_formulas).iter().map(|r| r.holds).collect()

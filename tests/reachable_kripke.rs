@@ -14,6 +14,14 @@
 //! formula the analyzer checks is pinned to the invariant shape the search
 //! accepts. The model layer's source index, linear reachability and DOT
 //! rendering are checked against the quadratic definitions they replaced.
+//!
+//! Environments are not checked on a lifted union: the analyzer compiles the
+//! members (`compile_union`) and explores their edges
+//! (`Kripke::reachable_from_union`). The explorer gate holds that structure
+//! struct-equal to the fragment builder's on `union_models`, with equal check
+//! results, on every group, G.3 variant and re-check member set above, an
+//! ad-hoc group around MalIoT App5, and random members with pruned
+//! attributes and repeated names.
 
 use proptest::prelude::*;
 use soteria::{IngestedApp, Soteria};
@@ -26,8 +34,8 @@ use soteria_corpus::{
     all_market_apps, maliot_groups, maliot_suite, market_groups, running_apps, CorpusApp,
 };
 use soteria_model::{
-    build_state_model, render_dot, union_models, BuildOptions, SourceIndex, StateId, StateModel,
-    Transition, TransitionLabel, UnionOptions,
+    build_state_model, compile_union, render_dot, union_models, BuildOptions, SourceIndex,
+    StateId, StateModel, Transition, TransitionLabel, UnionOptions,
 };
 use soteria_properties::{applicable_properties, formula, AppUnderTest, DeviceContext};
 use std::collections::{BTreeMap, VecDeque};
@@ -124,22 +132,26 @@ fn applicable_formulas(members: &[&IngestedApp]) -> Vec<Ctl> {
 /// The model the analyzer checks for a set of members: the member's own model
 /// or the union of theirs.
 fn checked_model(name: &str, members: &[&IngestedApp]) -> StateModel {
-    match members {
-        [app] => app.model.clone(),
-        _ => {
-            let models: Vec<&StateModel> = members.iter().map(|a| &a.model).collect();
-            union_models(name, &models, &UnionOptions::default())
-        }
+    let models: Vec<&StateModel> = members.iter().map(|a| &a.model).collect();
+    model_of(name, &models)
+}
+
+/// One member's model, or the union of several.
+fn model_of(name: &str, models: &[&StateModel]) -> StateModel {
+    match models {
+        [model] => (*model).clone(),
+        _ => union_models(name, models, &UnionOptions::default()),
     }
 }
 
-/// The model the analyzer re-checks failing formulas on: the same model
-/// rebuilt without the reflection-only specs, or `None` when there are none.
-fn reflection_free_model(name: &str, members: &[&IngestedApp]) -> Option<StateModel> {
+/// The member models the analyzer re-checks failing formulas on: each
+/// member's model rebuilt without its reflection-only specs, or `None` when
+/// no member has one.
+fn reflection_free_models(members: &[&IngestedApp]) -> Option<Vec<StateModel>> {
     if !members.iter().any(|a| a.specs.iter().any(|s| s.via_reflection)) {
         return None;
     }
-    let models: Vec<StateModel> = members
+    let models = members
         .iter()
         .map(|a| {
             let kept: Vec<TransitionSpec> =
@@ -147,22 +159,62 @@ fn reflection_free_model(name: &str, members: &[&IngestedApp]) -> Option<StateMo
             build_state_model(&a.ir.name, &a.abstraction, &kept, &BuildOptions::default())
         })
         .collect();
-    Some(match &models[..] {
-        [model] => model.clone(),
-        _ => union_models(name, &models.iter().collect::<Vec<_>>(), &UnionOptions::default()),
-    })
+    Some(models)
+}
+
+/// The explorer gate. Compiling `models` and lifting the edges gives
+/// `union_models`' list, in one exactly sized allocation when the names are
+/// unique; exploring the edges, with the union lifted or not, gives the
+/// structure the fragment builder makes of that union, and the search the
+/// same results on it. Returns whether the explorer took the fallback for
+/// repeated names.
+fn assert_explorer_agrees(context: &str, models: &[&StateModel], formulas: &[Ctl]) -> bool {
+    let options = UnionOptions::default();
+    let union = union_models(context, models, &options);
+    let (mut compiled, edges) = compile_union(context, models, &options);
+    assert!(compiled.transitions.is_empty(), "{context}: compiling lifts nothing");
+    let want = Kripke::reachable_from_state_model(&union);
+    let explored = Kripke::reachable_from_union(&compiled, &edges);
+    assert_eq!(explored, want, "{context}: explored structure");
+    assert_eq!(
+        check_invariants(&explored, formulas),
+        check_invariants(&want, formulas),
+        "{context}: check results"
+    );
+    let lifted = edges.lift();
+    assert_eq!(lifted, union.transitions, "{context}: lifted transitions");
+    if edges.unique_names() {
+        assert_eq!(lifted.capacity(), lifted.len(), "{context}: lift allocation");
+    }
+    compiled.transitions = lifted;
+    assert_eq!(compiled.attributes, union.attributes, "{context}: attributes");
+    assert_eq!(
+        Kripke::reachable_from_union(&compiled, &edges),
+        want,
+        "{context}: explored from the lifted union"
+    );
+    !edges.unique_names()
 }
 
 /// Checks the members' model and, when it has one, their reflection-free
-/// re-check model. Returns the checked model's fragment size and whether a
-/// re-check model existed.
+/// re-check model, against the full structure and, for groups, the explorer
+/// against the fragment builder. Returns the checked model's fragment size
+/// and whether a re-check model existed.
 fn assert_members_agree(name: &str, members: &[&IngestedApp]) -> (usize, bool) {
     let formulas = applicable_formulas(members);
-    let model = checked_model(name, members);
-    let size = assert_fragment_agrees(name, &model, &formulas);
-    let recheck = reflection_free_model(name, members);
+    let models: Vec<&StateModel> = members.iter().map(|a| &a.model).collect();
+    let size = assert_fragment_agrees(name, &model_of(name, &models), &formulas);
+    if models.len() > 1 {
+        assert_explorer_agrees(name, &models, &formulas);
+    }
+    let recheck = reflection_free_models(members);
     if let Some(recheck) = &recheck {
-        assert_fragment_agrees(&format!("{name} without reflection"), recheck, &formulas);
+        let context = format!("{name} without reflection");
+        let models: Vec<&StateModel> = recheck.iter().collect();
+        assert_fragment_agrees(&context, &model_of(name, &models), &formulas);
+        if models.len() > 1 {
+            assert_explorer_agrees(&context, &models, &formulas);
+        }
     }
     (size, recheck.is_some())
 }
@@ -271,6 +323,28 @@ fn g3_edit_variants_agree_with_the_full_structure() {
             assert_members_agree(&format!("G.3 with {first}#{a}, {second}#{b}"), &refs);
         }
     }
+}
+
+/// A group the corpus does not define, around MalIoT App5, whose reflection
+/// branch gives the group a re-check member set: App5 and App12 share the
+/// smoke detector, App12 and App13 the hall light. The same apps with a
+/// repeated member take the explorer's fallback.
+#[test]
+fn an_ad_hoc_group_around_app5_explores_its_re_check_members() {
+    let soteria = Soteria::new();
+    let apps = maliot_suite();
+    let ingested: Vec<IngestedApp> = ["App5", "App12", "App13"]
+        .into_iter()
+        .map(|id| ingest(&soteria, id, source_of(&apps, id)))
+        .collect();
+    let members: Vec<&IngestedApp> = ingested.iter().collect();
+    let (_, recheck) = assert_members_agree("App5+App12+App13", &members);
+    assert!(recheck, "App5's reflection branch gives the group a re-check");
+
+    let repeated = [&ingested[1], &ingested[2], &ingested[1]];
+    let models: Vec<&StateModel> = repeated.iter().map(|a| &a.model).collect();
+    let formulas = applicable_formulas(&repeated);
+    assert!(assert_explorer_agrees("App12+App13+App12", &models, &formulas));
 }
 
 /// The seed's reachability: a stack search that scans every transition for
@@ -448,5 +522,85 @@ proptest! {
         let formulas: Vec<Ctl> =
             (0..8).map(|_| random_body(3, &atoms, &mut rng).always_globally()).collect();
         assert_fragment_agrees(&format!("seed {seed}, {per_state} per state"), &model, &formulas);
+    }
+}
+
+/// Random member models for the explorer: 1-3 members named from a pool of
+/// three, so names repeat, each over 1-3 attributes drawn from a shared pool
+/// with its own ordering of a random subset of the values, so merged domains
+/// widen and digits remap. Transitions draw random sources and destinations
+/// and labels from the event pool, with occasional exact duplicates.
+/// Attributes no transition changes and no event subscribes to are pruned
+/// from the union; the water sensor is kept by its events alone.
+fn random_members(per_state: usize, rng: &mut Rng) -> Vec<StateModel> {
+    let pool: [(&str, &str, &[&str]); 4] = [
+        ("dev0", "attr", &["v0", "v1", "v2"]),
+        ("dev1", "attr", &["v0", "v1"]),
+        ("dev2", "attr", &["v0", "v1", "v2"]),
+        ("sensor", "water", &["dry", "wet"]),
+    ];
+    let events = event_pool();
+    (0..1 + rng.below(3))
+        .map(|_| {
+            let name = ["A", "B", "C"][rng.below(3)];
+            let mut attrs = BTreeMap::new();
+            for _ in 0..1 + rng.below(3) {
+                let (handle, attribute, values) = pool[rng.below(pool.len())];
+                let mut values: Vec<&str> = values.to_vec();
+                for i in (1..values.len()).rev() {
+                    values.swap(i, rng.below(i + 1));
+                }
+                values.truncate(1 + rng.below(values.len()));
+                attrs.insert(
+                    (handle.to_string(), attribute.to_string()),
+                    values.into_iter().map(AttributeValue::symbol).collect(),
+                );
+            }
+            let mut model = StateModel::with_attributes(name, attrs);
+            let q = model.state_count();
+            let labels: Vec<Arc<TransitionLabel>> = (0..1 + rng.below(4))
+                .map(|h| {
+                    Arc::new(TransitionLabel {
+                        event: events[rng.below(events.len())].clone(),
+                        condition: PathCondition::top(),
+                        app: name.into(),
+                        handler: format!("h{h}"),
+                        via_reflection: rng.below(4) == 0,
+                    })
+                })
+                .collect();
+            for _ in 0..rng.below(per_state * q + 1) {
+                let transition = Transition {
+                    from: rng.below(q),
+                    to: rng.below(q),
+                    label: labels[rng.below(labels.len())].clone(),
+                };
+                if rng.below(4) == 0 {
+                    model.transitions.push(transition.clone());
+                }
+                model.transitions.push(transition);
+            }
+            model
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn random_members_explore_to_the_fragment_of_their_union(
+        (per_state, seed) in (1usize..4, 0u32..u32::MAX)
+    ) {
+        let mut rng = Rng(seed as u64);
+        let members = random_members(per_state, &mut rng);
+        let models: Vec<&StateModel> = members.iter().collect();
+        let union = union_models("G", &models, &UnionOptions::default());
+        let mut atoms = Kripke::reachable_from_state_model(&union).atoms;
+        atoms.push("event:never".to_string());
+        let formulas: Vec<Ctl> =
+            (0..8).map(|_| random_body(3, &atoms, &mut rng).always_globally()).collect();
+        let context = format!("seed {seed}, {per_state} per state");
+        assert_explorer_agrees(&context, &models, &formulas);
+        assert_fragment_agrees(&context, &union, &formulas);
     }
 }

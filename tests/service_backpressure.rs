@@ -1,8 +1,8 @@
 //! Backpressure and cancellation gates for the analysis service (PR 5).
 //!
 //! The scheme behind the deterministic assertions: a 1-worker service is fed a
-//! *heavy* first app (ThermostatEnergyControl, by far the slowest corpus
-//! analysis), then probed while the worker is provably busy — submissions land
+//! *heavy* first app (15 chained switches, 491,520 transitions; see
+//! `heavy_source`), then probed while the worker is provably busy — submissions land
 //! microseconds after a poll that observed the heavy job's stage start, and the
 //! heavy analysis takes orders of magnitude longer than the probes. Environment
 //! jobs parked on the heavy member stay parked (and pending) for that whole
@@ -16,8 +16,36 @@ use soteria_service::{
 };
 use std::time::{Duration, Instant};
 
+/// An app whose analysis keeps the one worker busy far longer than the
+/// probes: 15 switches, each one's `on` event turning the next one off, so
+/// its model has 2^15 states and 15 transitions from each. It analyses in
+/// about 115 ms in a release build (1.1 s in a debug build), so a few
+/// probes fit in its window.
+///
+/// The tests hold only while this analysis outlasts the 20 ms the blocking
+/// probe waits plus the cancellation that follows. Keep it at three times
+/// that wait or more in a release build: after a speed-up of single-app
+/// analysis, time it again and add switches if it falls below 60 ms (each
+/// switch roughly doubles it). The slowest corpus app,
+/// ThermostatEnergyControl, analyses in about 12 ms in a debug build, too
+/// little for that.
 fn heavy_source() -> String {
-    soteria_corpus::find_app("ThermostatEnergyControl").expect("corpus app").1
+    const SWITCHES: usize = 15;
+    let mut source = String::from(
+        "definition(name: \"Heavy\", category: \"Convenience\")\npreferences {\n    section(\"switches\") {\n",
+    );
+    for i in 0..SWITCHES {
+        source += &format!("        input \"s{i}\", \"capability.switch\", required: true\n");
+    }
+    source += "    }\n}\ndef installed() {\n";
+    for i in 0..SWITCHES {
+        source += &format!("    subscribe(s{i}, \"switch.on\", h{i})\n");
+    }
+    source += "}\n";
+    for i in 0..SWITCHES {
+        source += &format!("def h{i}(evt) {{\n    s{}.off()\n}}\n", (i + 1) % SWITCHES);
+    }
+    source
 }
 
 fn light_source() -> String {
