@@ -27,28 +27,27 @@
 //! No builder renders a label per transition: each transition's
 //! `(event label, app)` resolves to a small *label class* id once per label
 //! allocation, event states are keyed on a packed `(destination, class)`
-//! integer, and one shared half (`Discovered::emit`) ranks them, writes the
-//! label rows and emits the CSR from per-model-state target groups. Two
-//! discovery passes feed it, and every structure they make numbers states in
-//! the full structure's order:
+//! integer, and one discovery pass, the explorer, builds every structure from
+//! a union's compiled edges ([`soteria_model::compile_union`]). A single
+//! model is read, without copying, as the one-member union of its own
+//! transitions that constrains every attribute. The three entry points number
+//! states in the full structure's order:
 //!
-//! * the fragment builder reads groups off a counting-sorted [`SourceIndex`]
-//!   of a model's transition list. [`Kripke::reachable_from_state_model`]
-//!   builds what the quiescent state of `model.initial` reaches (market G.3
-//!   reaches 78 of its 46,944 Kripke states); per-app checks use it.
-//!   [`Kripke::from_state_model`] builds the full structure, what every
-//!   quiescent state reaches; it is struct-equal to the independent builder
-//!   in [`reference`], which only tests call;
-//! * the explorer, [`Kripke::reachable_from_union`], builds the fragment of a
-//!   union from its members' compiled edges ([`soteria_model::compile_union`])
-//!   without reading a lifted transition list; environment checks use it.
-//!   For G.3 it replaces counting-sorting and rescanning 154,368 lifted
-//!   transitions with a search over the members' 168 edges (0.06 ms against
-//!   0.80 ms, release, 2 cores).
+//! * [`Kripke::reachable_from_state_model`] builds what the quiescent state of
+//!   `model.initial` reaches; per-app checks and their reflection-free
+//!   re-checks use it;
+//! * [`Kripke::reachable_from_union`] builds the same fragment of a union
+//!   without reading a lifted transition list; environment checks use it. For
+//!   G.3 it searches the members' 168 edges instead of the 154,368 lifted
+//!   transitions, to emit 78 of its 46,944 Kripke states;
+//! * [`Kripke::from_state_model`] builds the full structure, what every
+//!   quiescent state reaches. Only tests and the benchmark's replay call it;
+//!   tests hold it struct-equal to the independent builder in [`reference`].
 
 use crate::bitset::BitSet;
 use soteria_model::{
-    MemberEdges, SourceIndex, StateId, StateModel, StateSchema, TransitionLabel, UnionEdges,
+    AttrId, CompiledEdge, StateId, StateModel, StateSchema, Transition, TransitionLabel,
+    UnionEdges,
 };
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -221,12 +220,12 @@ impl Kripke {
     /// initial, plus one state per distinct `(destination, event, app)`
     /// combination among the transitions, numbered in order of first
     /// occurrence. Every Kripke state over model state `m` steps to the event
-    /// states of `m`'s outgoing transitions: the one builder's fragment reached
-    /// from every quiescent state.
+    /// states of `m`'s outgoing transitions. This is the explorer run over the
+    /// model's own transitions with every model state as a root, in order.
     pub fn from_state_model(model: &StateModel) -> Kripke {
         let _span = soteria_obs::span("kripke.build");
         let roots: Vec<StateId> = (0..model.state_count()).collect();
-        build(model, &SourceIndex::new(model), &roots, &vec![true; roots.len()])
+        explore_model(model, &roots)
     }
 
     /// Builds the part of [`Kripke::from_state_model`]'s structure that the
@@ -235,39 +234,27 @@ impl Kripke {
     /// states it reaches, so every check on the fragment gives the verdict of
     /// the full structure with the same initial state.
     ///
-    /// Work beyond the one source index and one scan of the transition list
-    /// is proportional to the fragment. An atom that labels only unreachable
-    /// states is absent, which the checker reads as false everywhere, as it is
-    /// on the fragment of the full structure.
+    /// It explores the model's own transitions as a one-member union that
+    /// constrains every attribute. An atom that labels only unreachable
+    /// states is absent, which the checker reads as false everywhere, as it
+    /// is on the fragment of the full structure.
     pub fn reachable_from_state_model(model: &StateModel) -> Kripke {
         let _span = soteria_obs::span("kripke.build");
-        let index = SourceIndex::new(model);
-        let reached = index.reachable_mask(model, model.initial);
-        build(model, &index, &[model.initial], &reached)
+        explore_model(model, &[model.initial])
     }
 
     /// Builds [`Kripke::reachable_from_state_model`]'s structure of the union
     /// that `union` and `edges` make ([`soteria_model::compile_union`])
     /// without reading a lifted transition list: `union` may be lifted or
-    /// not, and only its schema and initial state are read. With unique
-    /// member names it explores the members' compiled edges from the initial
-    /// state through per-member indexes sorted by `base` and by destination,
-    /// so after sorting the edges its work is the fragment's states times the
-    /// member count and a binary search, plus the edges they fire. With
-    /// repeated names the lifted list is not a plain concatenation of edge
-    /// blocks, so it builds the fragment of the lifted union instead, lifting
-    /// it first if `union` holds no transitions.
+    /// not, and only its schema and initial state are read. Repeated member
+    /// names need nothing special: the lift drops only transitions with an
+    /// identical earlier twin, which keeps every first occurrence, and their
+    /// order, as in the plain concatenation of blocks that the explorer ranks.
     pub fn reachable_from_union(union: &StateModel, edges: &UnionEdges) -> Kripke {
-        if !edges.unique_names() {
-            if !union.transitions.is_empty() {
-                return Kripke::reachable_from_state_model(union);
-            }
-            let mut lifted = union.clone();
-            lifted.transitions = edges.lift();
-            return Kripke::reachable_from_state_model(&lifted);
-        }
         let _span = soteria_obs::span("kripke.build");
-        explore(union, edges)
+        let members: Vec<_> =
+            edges.members().iter().map(|m| (&m.constrained[..], &m.edges[..])).collect();
+        explore(&union.schema, &[union.initial], &members)
     }
 
     /// Always `None`: the caller falls back to a scratch build, because
@@ -322,123 +309,113 @@ impl Kripke {
     }
 }
 
-/// The fragment builder: the part of the full structure that the quiescent
-/// states of `roots` reach, with those states initial. `reached` marks the
-/// model states the roots reach and must hold every root.
-///
-/// States keep the full structure's relative order: the roots' quiescent
-/// states first, then the reached event states by the index of their first
-/// occurrence in the **whole** transition list, even when that occurrence
-/// leaves an unreached state. Successor lists stay in the same relative order,
-/// so the checker's breadth-first tie-breaks, and with them its counterexample
-/// traces, are the full structure's.
-///
-/// Union models share one `Arc<TransitionLabel>` per lifted block, so label
-/// classes resolve cheaply: market G.3's ~154k transitions carry under 200
-/// allocations.
-fn build(model: &StateModel, index: &SourceIndex, roots: &[StateId], reached: &[bool]) -> Kripke {
-    let q = model.state_count();
-    assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
-    let mut found = Discovered::new();
-    let mut group_of = vec![0usize; q];
-    for ms in (0..q).filter(|&ms| reached[ms]) {
-        group_of[ms] = found.group_offsets.len() - 1;
-        for &t in index.outgoing(ms) {
-            let t = &model.transitions[t as usize];
-            let class = found.classes.resolve(&t.label);
-            found.target(t.to, class);
-        }
-        found.close_group();
-    }
-
-    // Rank the event states by first occurrence in the whole list.
-    let mut first = vec![u64::MAX; found.event_keys.len()];
-    let mut unranked = found.event_keys.len();
-    for (i, t) in model.transitions.iter().enumerate() {
-        if unranked == 0 {
-            break;
-        }
-        if !reached[t.to] {
-            continue;
-        }
-        let class = found.classes.resolve(&t.label);
-        if let Some(&slot) = found.slots.get(&event_key(t.to, class)) {
-            if first[slot as usize] == u64::MAX {
-                first[slot as usize] = i as u64;
-                unranked -= 1;
-            }
-        }
-    }
-    found.emit(&model.schema, roots, &first, |ms| group_of[ms])
+/// An edge of a union member, as `(base, offset, label)`: from each state
+/// whose digits on the member's constrained attributes are `base`'s, it steps
+/// by `offset` under `label`.
+trait Edge {
+    fn parts(&self) -> (StateId, isize, &Arc<TransitionLabel>);
 }
 
-/// The explorer: the structure [`build`] makes of the lifted union's
-/// fragment, made from the union's compiled edges. Member names must be
-/// unique, so the lifted list is the plain concatenation of the edges'
-/// blocks.
+impl Edge for CompiledEdge {
+    fn parts(&self) -> (StateId, isize, &Arc<TransitionLabel>) {
+        (self.base, self.offset, &self.label)
+    }
+}
+
+/// A model's own transition, as an edge of the one-member union that
+/// constrains every attribute: it fires only from `from`.
+impl Edge for Transition {
+    fn parts(&self) -> (StateId, isize, &Arc<TransitionLabel>) {
+        (self.from, self.to as isize - self.from as isize, &self.label)
+    }
+}
+
+/// [`explore`] over `model`'s own transitions, in list order, read as one
+/// member that constrains every attribute, so its lift is the list itself.
+fn explore_model(model: &StateModel, roots: &[StateId]) -> Kripke {
+    let constrained: Vec<AttrId> = (0..model.schema.attr_count() as AttrId).collect();
+    explore(&model.schema, roots, &[(&constrained[..], &model.transitions[..])])
+}
+
+/// The explorer: the part of the full structure of the union of `members`
+/// (each member's constrained attributes and edges, in union order) that the
+/// quiescent states of `roots` reach, with those states initial, numbered in
+/// the full structure's order, so the checker's breadth-first tie-breaks, and
+/// with them its counterexample traces, are the full structure's.
 ///
-/// A breadth-first search from `union.initial` fires edge `e` of member `m`
-/// from state `s` exactly when `s`'s digits on `m`'s constrained attributes
-/// are `e.base`'s, and visits successors in (member, edge) order. The first
-/// occurrence of an event state `(to, class)` in the lifted list is the block
-/// of the first edge, in (member, edge) order, of that class whose
-/// destinations include `to`, from any source, reached or not; within that
-/// block, free ranks ascend with `to`. So `(edge index, to)` ranks event
-/// states as the fragment builder's list index does.
-///
-/// Both lookups go through per-member sorted indexes of the edges, so a
-/// state costs a binary search per member plus the edges it fires, and an
-/// event state a binary search per member: the work is the fragment times
-/// the member count and the edges' log, not the fragment times the edges.
-fn explore(union: &StateModel, edges: &UnionEdges) -> Kripke {
-    let schema = &union.schema;
+/// A breadth-first search fires edge `e` of member `m` from state `s` exactly
+/// when `s`'s digits on `m`'s constrained attributes are `e.base`'s. The full
+/// structure ranks an event state `(to, class)` by its first occurrence in
+/// the lifted list: member, edge, then free offset. That is in the block of
+/// the first edge, in union order, of that class whose destinations include
+/// `to`, from any source, reached or not; within a block, free ranks ascend
+/// with `to`. So `(edge index, to)` is the rank, and one scan of the edges in
+/// union order, which stops once every event state found is ranked, finds it.
+/// A class is resolved only when one of its edges fires or is scanned.
+fn explore<E: Edge>(
+    schema: &StateSchema,
+    roots: &[StateId],
+    members: &[(&[AttrId], &[E])],
+) -> Kripke {
     let q = schema.state_count();
     assert!(q <= u32::MAX as usize, "state universe exceeds u32 indexing");
-    let members = edges.members();
     // The constrained part of a state's id for one member: the `base` of the
     // edges it fires, the `base + offset` of the edges that reach it.
-    let key = |member: &MemberEdges, digits: &[u8]| -> usize {
-        member.constrained.iter().map(|&a| digits[a as usize] as usize * schema.stride(a)).sum()
+    let key = |constrained: &[AttrId], digits: &[u8]| -> usize {
+        constrained.iter().map(|&a| digits[a as usize] as usize * schema.stride(a)).sum()
     };
-    let mut found = Discovered::new();
-    // Per member, a slice of `fires` holds its edges as `(base, edge index,
-    // offset, class)` and one of `reaches` as `(class, base + offset, edge
-    // index)`, each ascending; edge indexes count across members in union
-    // order.
-    let total: usize = members.iter().map(|m| m.edges.len()).sum();
-    let mut fires: Vec<(usize, u32, isize, u32)> = Vec::with_capacity(total);
-    let mut reaches: Vec<(u32, usize, u32)> = Vec::with_capacity(total);
-    for (e, edge) in members.iter().flat_map(|m| &m.edges).enumerate() {
-        let class = found.classes.resolve(&edge.label);
-        fires.push((edge.base, e as u32, edge.offset, class));
-        reaches.push((class, (edge.base as isize + edge.offset) as usize, e as u32));
-    }
+    // Edge indexes count across members in union order: member `m`'s are
+    // `spans[m]`.
     let mut spans = Vec::with_capacity(members.len());
-    let mut lo = 0;
-    for member in members {
-        let hi = lo + member.edges.len();
-        fires[lo..hi].sort_unstable();
-        reaches[lo..hi].sort_unstable();
-        spans.push(lo..hi);
-        lo = hi;
+    let mut total = 0;
+    for (_, edges) in members {
+        spans.push(total..total + edges.len());
+        total += edges.len();
     }
+    assert!(total <= u32::MAX as usize, "edge list exceeds u32 indexing");
+    // One counting sort: `by_base[starts[b]..starts[b + 1]]` holds the edges
+    // whose base is `b`, ascending. Inclusive prefix sums leave `starts[b]` at
+    // the end of group `b`; filling back to front walks it down to its start.
+    let mut starts = vec![0u32; q + 1];
+    for edge in members.iter().flat_map(|&(_, edges)| edges) {
+        starts[edge.parts().0] += 1;
+    }
+    let mut acc = 0u32;
+    for slot in &mut starts {
+        acc += *slot;
+        *slot = acc;
+    }
+    let mut by_base = vec![0u32; total];
+    for (&(_, edges), span) in members.iter().zip(&spans).rev() {
+        for (e, edge) in span.clone().zip(edges).rev() {
+            let base = edge.parts().0;
+            starts[base] -= 1;
+            by_base[starts[base] as usize] = e as u32;
+        }
+    }
+    let mut found = Discovered::new(total);
 
     // Breadth-first, so a state's group is its position in the queue, and
     // `group_of` holds that position plus one (0: not reached).
     let mut group_of = vec![0u32; q];
-    let mut queue: Vec<StateId> = vec![union.initial];
-    group_of[union.initial] = 1;
+    let mut queue: Vec<StateId> = roots.to_vec();
+    for (position, &root) in (1..).zip(roots) {
+        group_of[root] = position;
+    }
     let mut digits = vec![0u8; schema.attr_count()];
     let mut head = 0;
     while let Some(&s) = queue.get(head) {
         head += 1;
         schema.digits_of(s, &mut digits);
-        for (member, span) in members.iter().zip(&spans) {
-            let base = key(member, &digits);
-            let fires = &fires[span.clone()];
-            let first = fires.partition_point(|&(b, ..)| b < base);
-            for &(_, _, offset, class) in fires[first..].iter().take_while(|&&(b, ..)| b == base) {
+        for (&(constrained, edges), span) in members.iter().zip(&spans) {
+            let base = key(constrained, &digits);
+            // Every member's edges at this base: the member's are one run.
+            let group = &by_base[starts[base] as usize..starts[base + 1] as usize];
+            let first = group.partition_point(|&e| (e as usize) < span.start);
+            for &e in group[first..].iter().take_while(|&&e| (e as usize) < span.end) {
+                let (_, offset, label) = edges[e as usize - span.start].parts();
                 let to = (s as isize + offset) as usize;
+                let class = found.class_of(e, label);
                 found.target(to, class);
                 if group_of[to] == 0 {
                     queue.push(to);
@@ -449,33 +426,57 @@ fn explore(union: &StateModel, edges: &UnionEdges) -> Kripke {
         found.close_group();
     }
 
-    let rank: Vec<u64> = found
-        .event_keys
-        .iter()
-        .map(|&(to, class)| {
-            schema.digits_of(to, &mut digits);
-            for (member, span) in members.iter().zip(&spans) {
-                let target = key(member, &digits);
-                let reaches = &reaches[span.clone()];
-                let first = reaches.partition_point(|&(c, t, _)| (c, t) < (class, target));
-                if let Some(&(c, t, e)) = reaches.get(first) {
-                    if (c, t) == (class, target) {
-                        return ((e as u64) << 32) | to as u64;
-                    }
+    // Rank by one scan of the edges in union order. Per member, `wanted`
+    // holds each unranked event state's packed `(key, class)`, ascending.
+    let events = found.event_keys.len();
+    let mut rank = vec![u64::MAX; events];
+    let mut unranked = events;
+    let mut wanted: Vec<(u64, u32)> = Vec::with_capacity(events);
+    for (&(constrained, edges), span) in members.iter().zip(&spans) {
+        if unranked == 0 {
+            break;
+        }
+        wanted.clear();
+        for (slot, &(to, class)) in (0u32..).zip(&found.event_keys) {
+            if rank[slot as usize] == u64::MAX {
+                schema.digits_of(to, &mut digits);
+                wanted.push((event_key(key(constrained, &digits), class), slot));
+            }
+        }
+        wanted.sort_unstable();
+        for (e, edge) in (span.start as u32..).zip(edges) {
+            if unranked == 0 {
+                break;
+            }
+            let (base, offset, label) = edge.parts();
+            let target = (base as isize + offset) as usize;
+            // Resolve the edge's class only when some wanted state has its key.
+            let at = wanted.partition_point(|&(k, _)| k < event_key(target, 0));
+            if wanted.get(at).is_none_or(|&(k, _)| k >> 32 != target as u64) {
+                continue;
+            }
+            let packed = event_key(target, found.class_of(e, label));
+            let at = at + wanted[at..].partition_point(|&(k, _)| k < packed);
+            for &(_, slot) in wanted[at..].iter().take_while(|&&(k, _)| k == packed) {
+                if rank[slot as usize] == u64::MAX {
+                    let to = found.event_keys[slot as usize].0;
+                    rank[slot as usize] = ((e as u64) << 32) | to as u64;
+                    unranked -= 1;
                 }
             }
-            unreachable!("the edge that discovered an event state reaches it")
-        })
-        .collect();
-    found.emit(schema, &[union.initial], &rank, |ms| group_of[ms] as usize - 1)
+        }
+    }
+    assert_eq!(unranked, 0, "the edge that discovered an event state reaches it");
+    found.emit(schema, roots, &rank, |ms| group_of[ms] as usize - 1)
 }
 
-/// What a discovery pass finds before ranking: the event states `(to,
-/// class)` in discovery order, and per reached model state its group of
-/// event-state slots. [`Discovered::emit`], the half both passes share,
-/// turns it into the structure.
+/// What the explorer finds before ranking: the event states `(to, class)` in
+/// discovery order, and per reached model state its group of event-state
+/// slots. [`Discovered::emit`] turns it into the structure.
 struct Discovered {
     classes: LabelClasses,
+    /// Per edge index, its class once resolved ([`Discovered::class_of`]).
+    edge_class: Vec<u32>,
     slots: EventStates,
     event_keys: Vec<(StateId, u32)>,
     /// `grouped[group_offsets[g]..group_offsets[g + 1]]` is group `g`.
@@ -484,14 +485,24 @@ struct Discovered {
 }
 
 impl Discovered {
-    fn new() -> Discovered {
+    fn new(edges: usize) -> Discovered {
         Discovered {
             classes: LabelClasses::default(),
+            edge_class: vec![u32::MAX; edges],
             slots: EventStates::default(),
             event_keys: Vec::new(),
             group_offsets: vec![0],
             grouped: Vec::new(),
         }
+    }
+
+    /// The class of edge `e`'s label, resolved on first use.
+    fn class_of(&mut self, e: u32, label: &Arc<TransitionLabel>) -> u32 {
+        let class = &mut self.edge_class[e as usize];
+        if *class == u32::MAX {
+            *class = self.classes.resolve(label);
+        }
+        *class
     }
 
     /// Adds the event state `(to, class)` to the open group.
@@ -637,15 +648,12 @@ impl LabelClass {
 
 /// The label classes of one model, numbered in order of first occurrence.
 ///
-/// A transition resolves through three memo levels, cheapest first: the last
-/// label allocation seen (consecutive transitions of a lifted union block share
-/// one `Arc`), a map keyed by allocation address, and a map keyed by the
-/// rendered `(event label, app)` value, so distinct allocations with equal
-/// contents still share one class. Only the last level renders the label, once
-/// per distinct allocation.
+/// A label resolves through two memo levels: a map keyed by allocation
+/// address, and a map keyed by the rendered `(event label, app)` value, so
+/// distinct allocations with equal contents still share one class. Only the
+/// second level renders the label, once per distinct allocation.
 #[derive(Default)]
 struct LabelClasses {
-    last: Option<(*const TransitionLabel, u32)>,
     by_ptr: HashMap<*const TransitionLabel, u32>,
     by_value: HashMap<(String, String), u32>,
     classes: Vec<LabelClass>,
@@ -657,32 +665,20 @@ impl LabelClasses {
     /// ([`LabelClass::intern_atoms`]) when it labels its first emitted state.
     fn resolve(&mut self, label: &Arc<TransitionLabel>) -> u32 {
         let ptr = Arc::as_ptr(label);
-        if let Some((last, class)) = self.last {
-            if last == ptr {
-                return class;
-            }
+        if let Some(&class) = self.by_ptr.get(&ptr) {
+            return class;
         }
-        let class = match self.by_ptr.get(&ptr) {
-            Some(&class) => class,
-            None => {
-                let next = self.classes.len() as u32;
-                let key = (label.event.kind.label(), label.app.clone());
-                let class = match self.by_value.entry(key) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let (event, app) = e.key();
-                        self.classes.push(LabelClass {
-                            event: Arc::from(event.as_str()),
-                            app: app.clone(),
-                        });
-                        *e.insert(next)
-                    }
-                };
-                self.by_ptr.insert(ptr, class);
-                class
+        let next = self.classes.len() as u32;
+        let key = (label.event.kind.label(), label.app.clone());
+        let class = match self.by_value.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let (event, app) = e.key();
+                self.classes.push(LabelClass { event: Arc::from(event.as_str()), app: app.clone() });
+                *e.insert(next)
             }
         };
-        self.last = Some((ptr, class));
+        self.by_ptr.insert(ptr, class);
         class
     }
 }

@@ -109,6 +109,9 @@ pub fn compile_union(
 #[derive(Debug, Clone)]
 pub struct UnionEdges {
     members: Vec<MemberEdges>,
+    /// True when no two members share a name. Only then is the lifted list
+    /// the plain concatenation of every edge's block: lifts of same-named
+    /// members drop each transition that has an identical earlier twin.
     unique_names: bool,
 }
 
@@ -144,13 +147,6 @@ impl UnionEdges {
     /// The members, in union order.
     pub fn members(&self) -> &[MemberEdges] {
         &self.members
-    }
-
-    /// True when no two members share a name. Only then is the lifted list
-    /// the plain concatenation of every edge's block: lifts of same-named
-    /// members are deduplicated against each other transition by transition.
-    pub fn unique_names(&self) -> bool {
-        self.unique_names
     }
 
     /// The lift step of [`union_models`]: every edge's block, member-major,

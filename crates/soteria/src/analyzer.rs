@@ -415,8 +415,8 @@ impl Soteria {
         ctx: &DeviceContext,
         apps: &[String],
     ) -> Vec<Violation> {
-        // `build_state_model`'s transitions are state-major, not edge-major, so
-        // per-app checks build the fragment from the model's transition list.
+        // The model's own transitions are a one-member union, so the explorer
+        // that checks environments builds the per-app fragments too.
         self.check_specific(
             || Kripke::reachable_from_state_model(model),
             ctx,

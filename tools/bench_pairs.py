@@ -16,10 +16,14 @@ revisions.
 
 Prints `nproc`, after the first pair each side's `core::str::from_utf8`
 address mod 64 (0 puts `JsonValue::parse`'s hot loop across a cache line;
-see the verify skill), then per end-to-end metric each side's median and interquartile range, the
-change/base ratio of the medians, and the pairs the change won. The last
-line is the same summary as one JSON object. `--base HEAD --change HEAD`
-measures the noise floor of the tree against itself.
+see the verify skill), then per end-to-end metric each side's median and
+interquartile range, the change/base ratio of the medians, the pairs the
+change won and a verdict against the metric's `better` and `bound` in
+`BENCHMARK.json` (see `verdict`). `restart_ms_p50` is flagged layout-suspect
+when the two builds put `from_utf8` at different addresses mod 64: that
+metric follows the alignment, not the code. The last line is the same
+summary as one JSON object. `--base HEAD --change HEAD` measures the noise
+floor of the tree against itself.
 """
 
 import argparse
@@ -93,6 +97,31 @@ def spread(q):
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
 
+def relative(delta, median):
+    """`delta` as a fraction of `median`; a nonzero delta from 0 is infinite."""
+    if median:
+        return delta / abs(median)
+    return 0.0 if delta == 0 else float("inf")
+
+
+def verdict(b, c, bq, cq, lower, bound):
+    """`worse` or `better` when the change median differs from the base median
+    by more than `bound` (relative); otherwise `unresolved` when the base runs'
+    own IQR exceeds the bound, unless every change run beats every base run;
+    otherwise `unchanged`. `no bound` for a metric BENCHMARK.json gives none."""
+    if bound is None:
+        return "no bound"
+    gain = relative(bq[1] - cq[1] if lower else cq[1] - bq[1], bq[1])
+    if gain > bound:
+        return "better"
+    if gain < -bound:
+        return "worse"
+    beats_all = max(c) < min(b) if lower else min(c) > max(b)
+    if relative(bq[2] - bq[0], bq[1]) > bound and not beats_all:
+        return "unresolved"
+    return "unchanged"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True)
@@ -111,6 +140,7 @@ def main():
     work = os.path.abspath(args.work_dir or tempfile.mkdtemp(prefix="bench_pairs."))
     bench = json.load(open(os.path.join(repo, "BENCHMARK.json")))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     try:
         sides = []
         for side, rev in zip(SIDES, revs):
@@ -138,10 +168,11 @@ def main():
                           f"from_utf8 mod 64 = {side['from_utf8_mod64']}", flush=True)
 
         base, chan = sides
+        layout_differs = base["from_utf8_mod64"] != chan["from_utf8_mod64"]
         names = [n for n in base["runs"][0]["metrics"] if n in chan["runs"][0]["metrics"]]
         summary = {}
         print(f"{'metric':<18} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30}"
-              f" {'ratio':>7} {'won':>6}")
+              f" {'ratio':>7} {'won':>6}  verdict")
         for name in names:
             b = [r["metrics"][name] for r in base["runs"]]
             c = [r["metrics"][name] for r in chan["runs"]]
@@ -149,12 +180,16 @@ def main():
             lower = better.get(name, "lower") == "lower"
             won = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
             ratio = cq[1] / bq[1] if bq[1] else None
+            judged = verdict(b, c, bq, cq, lower, bounds.get(name))
+            suspect = name == "restart_ms_p50" and layout_differs
             summary[name] = {"base": {"median": bq[1], "q1": bq[0], "q3": bq[2], "runs": b},
                              "change": {"median": cq[1], "q1": cq[0], "q3": cq[2], "runs": c},
-                             "ratio": ratio, "won": won, "pairs": len(b)}
+                             "ratio": ratio, "won": won, "pairs": len(b),
+                             "verdict": judged, "layout_suspect": suspect}
             ratio_text = f"{ratio:.3f}" if ratio is not None else "-"
+            flag = " (layout-suspect: from_utf8 mod 64 differs)" if suspect else ""
             print(f"{name:<18} {spread(bq):>30} {spread(cq):>30} {ratio_text:>7}"
-                  f" {won:>3}/{len(b)}")
+                  f" {won:>3}/{len(b)}  {judged}{flag}")
         failed = sum(r["failed"] for s in sides for r in s["runs"])
         correct = all(r["correct"] for s in sides for r in s["runs"])
         print(json.dumps({
